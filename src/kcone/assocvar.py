@@ -18,6 +18,7 @@ from fractions import Fraction
 from typing import Optional
 
 from .ktheory import KClass, flatten_kclass, kclass_add, kclass_from_terms, kclass_scale, std_to_class
+from .linalg import solve
 from .nilpotent import ClosurePoset
 from .orbitalg import GeometricBasis, GeometricBasisVector
 from .rootdata import RootDatum, Weight, enumerate_dominant, weight_norm_sq
@@ -77,48 +78,27 @@ def express_in_geometric_basis(
     axis_index = {w: i for i, w in enumerate(axis)}
     cols = [flatten_kclass(rd, v.kclass, axis_index) for v in certified]
     target = flatten_kclass(rd, kc, axis_index)
-
-    # exact Gaussian elimination on the augmented system (columns = vectors)
-    ncols = len(certified)
-    aug = [
-        [Fraction(cols[j][i]) for j in range(ncols)] + [Fraction(target[i])]
-        for i in range(len(axis))
-    ]
-    pivot_row_of_col: dict[int, int] = {}
-    r = 0
-    for c in range(ncols):
-        pivot = next((i for i in range(r, len(aug)) if aug[i][c] != 0), None)
-        if pivot is None:
-            continue
-        aug[r], aug[pivot] = aug[pivot], aug[r]
-        pv = aug[r][c]
-        aug[r] = [x / pv for x in aug[r]]
-        for i in range(len(aug)):
-            if i != r and aug[i][c] != 0:
-                f = aug[i][c]
-                aug[i] = [x - f * y for x, y in zip(aug[i], aug[r])]
-        pivot_row_of_col[c] = r
-        r += 1
-    if len(pivot_row_of_col) != ncols:
+    try:
+        solved = solve(cols, target)
+    except ValueError:
         raise InternalConsistencyError(
             "certified basis vectors are linearly dependent in the window"
+        ) from None
+    if solved is None:
+        raise BoundTooSmallError(
+            "class is not in the certified span at this bound; recompute "
+            "the basis with a larger bound"
         )
-    for i in range(r, len(aug)):
-        if aug[i][ncols] != 0:
-            raise BoundTooSmallError(
-                "class is not in the certified span at this bound; recompute "
-                "the basis with a larger bound"
-            )
+    numerators, denominator = solved
     coords: dict[GeometricBasisVector, int] = {}
-    for c, v in enumerate(certified):
-        x = aug[pivot_row_of_col[c]][ncols]
-        if x.denominator != 1:
+    for x, v in zip(numerators, certified):
+        if x % denominator:
             raise InternalConsistencyError(
-                f"expansion coordinate {x} on orbit {v.orbit_id} vector {v.index} "
-                f"is not an integer"
+                f"expansion coordinate {Fraction(x, denominator)} on orbit "
+                f"{v.orbit_id} vector {v.index} is not an integer"
             )
         if x:
-            coords[v] = int(x)
+            coords[v] = x // denominator
     return coords
 
 

@@ -2,18 +2,18 @@
 
 Subcommands: orbits, basis, acycle, pushforward, selftest.  All output is
 deterministic: weights are serialized as integer lists in a fixed order and
-rational bounds as exact "p/q" strings, so repeated runs (at any
-parallelism setting) are byte-identical.
+rational bounds as exact "p/q" strings, so repeated runs are byte-identical.
+--parallelism is accepted for compatibility and has no effect.
 
-Exit codes: 0 success, 2 argument/parse errors (including unknown types and
-missing orbit tables), 3 resource-cap errors, 4 bound-too-small errors.
+Exit codes: 0 success, 2 argument/parse errors (including unknown types,
+missing orbit tables and malformed module files), 3 resource-cap errors
+(including windows too large to enumerate), 4 bound-too-small errors.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
@@ -51,12 +51,6 @@ class RunConfig:
     bound_sq: Fraction = Fraction(0)
     orbit: Optional[int] = None
     format: str = "json"
-    parallelism: int = 0
-
-    def workers(self) -> int:
-        if self.parallelism == 0:
-            return min(8, os.cpu_count() or 1)
-        return self.parallelism
 
 
 def _fraction_arg(raw: str) -> Fraction:
@@ -66,6 +60,16 @@ def _fraction_arg(raw: str) -> Fraction:
         raise argparse.ArgumentTypeError(f"not a rational number: {raw!r}")
     if value < 0:
         raise argparse.ArgumentTypeError("bound must be nonnegative")
+    return value
+
+
+def _nonnegative_int_arg(raw: str) -> int:
+    try:
+        value = int(raw)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not an integer: {raw!r}")
+    if value < 0:
+        raise argparse.ArgumentTypeError("must be nonnegative")
     return value
 
 
@@ -158,7 +162,7 @@ def _basis_payload(basis: GeometricBasis, orbit_filter: Optional[int]) -> dict:
 
 def cmd_basis(cfg: RunConfig) -> int:
     rd = build_root_datum(cfg.type_label)
-    basis = full_basis(rd, cfg.bound_sq, workers=cfg.workers())
+    basis = full_basis(rd, cfg.bound_sq)
     if cfg.orbit is not None and not any(o.id == cfg.orbit for o in basis.orbits):
         print(f"error: no orbit with id {cfg.orbit} in {cfg.type_label}", file=sys.stderr)
         return EXIT_USAGE
@@ -180,6 +184,24 @@ def cmd_basis(cfg: RunConfig) -> int:
     return EXIT_OK
 
 
+def _is_int(x) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
+def _int_field(x, what: str) -> int:
+    if not _is_int(x):
+        raise ValueError(f"{what} {x!r} is not an integer")
+    return x
+
+
+def _weight_field(raw, rank: int) -> tuple[int, ...]:
+    if not isinstance(raw, list) or not all(_is_int(x) for x in raw):
+        raise ValueError(f"weight {raw!r} is not a list of integers")
+    if len(raw) != rank:
+        raise ValueError(f"weight length mismatch in {raw!r}; expected rank {rank}")
+    return tuple(raw)
+
+
 def _parse_module_file(path: str, rank: int) -> VirtualModule:
     with open(path, "r", encoding="utf-8") as fh:
         data = json.load(fh)
@@ -188,25 +210,22 @@ def _parse_module_file(path: str, rank: int) -> VirtualModule:
     if "standards" in data:
         terms = []
         for entry in data["standards"]:
-            coef = entry["coef"]
-            lam_l = tuple(entry["lambda_l"])
-            lam_r = tuple(entry["lambda_r"])
-            if len(lam_l) != rank or len(lam_r) != rank:
-                raise ValueError(f"weight length mismatch in {entry!r}; expected rank {rank}")
-            if not isinstance(coef, int):
-                raise ValueError(f"coefficient {coef!r} is not an integer")
+            coef = _int_field(entry["coef"], "coefficient")
+            lam_l = _weight_field(entry["lambda_l"], rank)
+            lam_r = _weight_field(entry["lambda_r"], rank)
             if coef:
                 terms.append((coef, lam_l, lam_r))
         return VirtualModule(terms=tuple(terms))
     if "kclass" in data:
         raw = data["kclass"]
         coeffs = tuple(
-            (tuple(item["weight"]), int(item["coef"])) for item in raw["coeffs"]
+            (_weight_field(item["weight"], rank), _int_field(item["coef"], "coefficient"))
+            for item in raw["coeffs"]
         )
-        for w, _ in coeffs:
-            if len(w) != rank:
-                raise ValueError(f"weight length mismatch in {w!r}; expected rank {rank}")
-        return VirtualModule(kclass=KClass(coeffs, raw.get("rank")))
+        rank_field = raw.get("rank")
+        if rank_field is not None:
+            _int_field(rank_field, "rank")
+        return VirtualModule(kclass=KClass(coeffs, rank_field))
     raise ValueError('module file needs a "standards" or "kclass" key')
 
 
@@ -214,7 +233,7 @@ def cmd_acycle(cfg: RunConfig, module_path: str) -> int:
     rd = build_root_datum(cfg.type_label)
     vm = _parse_module_file(module_path, rd.rank)
     kc = module_to_kclass(rd, vm)
-    basis = full_basis(rd, cfg.bound_sq, workers=cfg.workers())
+    basis = full_basis(rd, cfg.bound_sq)
     coords = express_in_geometric_basis(rd, kc, basis)
     cycle = associated_cycle(coords, basis.poset)
     labels = {o.id: o.label for o in basis.orbits}
@@ -336,9 +355,9 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--format", choices=["json", "text"], default="json")
         p.add_argument(
             "--parallelism",
-            type=int,
+            type=_nonnegative_int_arg,
             default=0,
-            help="worker threads for pushforward evaluation (0 = auto)",
+            help="accepted for compatibility; has no effect",
         )
 
     p_orbits = sub.add_parser("orbits", help="classify nilpotent orbits")
@@ -371,7 +390,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         bound_sq=getattr(args, "bound_sq", Fraction(0)),
         orbit=getattr(args, "orbit", None),
         format=args.format,
-        parallelism=args.parallelism,
     )
     try:
         if args.command == "orbits":
@@ -387,6 +405,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return EXIT_BOUND
     except SubsetCapExceededError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_RESOURCE
+    except OverflowError as exc:
+        print(f"error: truncation window too large to enumerate: {exc}", file=sys.stderr)
         return EXIT_RESOURCE
     except (ValueError, KeyError, TypeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

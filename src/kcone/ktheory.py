@@ -1,4 +1,4 @@
-"""K-theory classes in the dominant-weight basis, and exact linear algebra.
+"""K-theory classes in the dominant-weight basis, and their Hermite split.
 
 A KClass is a finite integer combination of dominant weights (every weight
 is folded onto its dominant Weyl conjugate with coefficient +1 before being
@@ -13,13 +13,13 @@ with every term folded to its dominant conjugate, and rank equal to the
 Levi dimension of phi.  Skyscrapers at the origin are the special case
 where the Levi is the whole group and Delta(g[1]) is empty.
 
-Linear algebra over the truncated weight window is done with fraction-free
-integer row reduction (Hermite-style pivoting, gcd-normalized rows).
+The integer lattice the classes span over the truncated weight window is
+split by Hermite reduction (unimodular row operations only); rational work
+over the same window uses kcone.linalg.
 """
 
 from __future__ import annotations
 
-import math
 import os
 from dataclasses import dataclass
 from fractions import Fraction
@@ -51,9 +51,12 @@ def _subset_cap_bits() -> int:
     if raw is None:
         return _DEFAULT_SUBSET_BITS
     try:
-        return int(raw)
+        bits = int(raw)
     except ValueError:
         raise ValueError(f"{_SUBSET_CAP_ENV} must be an integer, got {raw!r}") from None
+    if bits < 0:
+        raise ValueError(f"{_SUBSET_CAP_ENV} must be nonnegative, got {raw!r}")
+    return bits
 
 
 # ---------------------------------------------------------------------------
@@ -205,67 +208,7 @@ def skyscraper_class(rd: RootDatum, phi: Sequence[int]) -> KClass:
 
 
 # ---------------------------------------------------------------------------
-# exact integer linear algebra
-
-
-@dataclass(frozen=True)
-class IntMatrix:
-    """Dense integer matrix; Python ints, so entries are arbitrary precision."""
-
-    rows: tuple[tuple[int, ...], ...]
-
-    @property
-    def shape(self) -> tuple[int, int]:
-        return (len(self.rows), len(self.rows[0]) if self.rows else 0)
-
-
-def _normalize_row(row: list[int]) -> list[int]:
-    g = 0
-    for x in row:
-        g = math.gcd(g, x)
-    if g > 1:
-        row = [x // g for x in row]
-    for x in row:
-        if x:
-            return row if x > 0 else [-y for y in row]
-    return row
-
-
-class _IntEchelon:
-    """Row space over the rationals, kept as gcd-reduced integer rows."""
-
-    def __init__(self) -> None:
-        self._pivots: list[int] = []
-        self._rows: list[list[int]] = []
-
-    def reduce(self, row: Sequence[int]) -> list[int]:
-        row = list(row)
-        for pivot, base in zip(self._pivots, self._rows):
-            x = row[pivot]
-            if x:
-                p = base[pivot]
-                g = math.gcd(p, x)
-                a, b = p // g, x // g
-                row = [a * u - b * v for u, v in zip(row, base)]
-                row = _normalize_row(row)
-        return row
-
-    def add(self, row: Sequence[int]) -> bool:
-        """Insert if independent of the current span; return whether it was."""
-        red = self.reduce(row)
-        pivot = next((i for i, x in enumerate(red) if x), None)
-        if pivot is None:
-            return False
-        red = _normalize_row(red)
-        pos = 0
-        while pos < len(self._pivots) and self._pivots[pos] < pivot:
-            pos += 1
-        self._pivots.insert(pos, pivot)
-        self._rows.insert(pos, red)
-        return True
-
-    def __len__(self) -> int:
-        return len(self._rows)
+# the integer lattice of classes over the truncated weight window
 
 
 def flatten_kclass(
@@ -281,20 +224,6 @@ def flatten_kclass(
             )
         row[idx] = c
     return row
-
-
-@dataclass(frozen=True)
-class HnfExtraction:
-    """Result of a greedy independent-subset extraction.
-
-    selected holds indices into the input vector list, in selection order;
-    axis is the dominant-weight coordinate order (by norm^2, then lex);
-    matrix holds the selected vectors' coordinate rows.
-    """
-
-    selected: tuple[int, ...]
-    axis: tuple[Weight, ...]
-    matrix: IntMatrix
 
 
 class _TrackedRow:
@@ -421,29 +350,3 @@ def hnf_certified_split(
     provisional = tuple(build(c) for c in sorted((c for c in done if c < n_big), reverse=True))
     return HnfSplit(certified, provisional, axis)
 
-
-def hnf_basis_extract(
-    rd: RootDatum,
-    vectors: Sequence[KClass],
-    modulo: Sequence[KClass],
-    support_norm_sq,
-) -> HnfExtraction:
-    """Greedy maximal subset of vectors independent modulo span(modulo).
-
-    Classes are flattened over the dominant weights of norm^2 at most
-    support_norm_sq, ordered by (norm^2, lex); independence is rational,
-    tested by fraction-free integer row reduction.
-    """
-    axis = tuple(enumerate_dominant(rd, support_norm_sq))
-    axis_index = {w: i for i, w in enumerate(axis)}
-    ech = _IntEchelon()
-    for kc in modulo:
-        ech.add(flatten_kclass(rd, kc, axis_index))
-    selected = []
-    rows = []
-    for idx, kc in enumerate(vectors):
-        row = flatten_kclass(rd, kc, axis_index)
-        if ech.add(row):
-            selected.append(idx)
-            rows.append(tuple(row))
-    return HnfExtraction(tuple(selected), axis, IntMatrix(tuple(rows)))

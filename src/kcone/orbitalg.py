@@ -24,7 +24,6 @@ truncated computation cannot certify.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -32,12 +31,12 @@ from typing import Sequence
 from .ktheory import (
     KClass,
     SubsetCapExceededError,
-    _IntEchelon,
     _subset_cap_bits,
     flatten_kclass,
     hnf_certified_split,
     pushforward,
 )
+from .linalg import IntEchelon
 from .nilpotent import (
     ClosurePoset,
     GradingData,
@@ -126,13 +125,10 @@ def _windows(rd: RootDatum, bound_sq) -> _Windows:
     return _Windows(bound_sq, c, (b + c) ** 2, (b + 2 * c) ** 2)
 
 
-def spanning_set(
-    rd: RootDatum, gd: GradingData, bound_sq, workers: int = 1
-) -> list[tuple[Weight, KClass]]:
+def spanning_set(rd: RootDatum, gd: GradingData, bound_sq) -> list[tuple[Weight, KClass]]:
     """Pushforward classes for every Levi-dominant weight in the span window.
 
-    Ordered by (norm^2, lex) of the Levi weight.  Entries are evaluated in
-    parallel when workers != 1; the output order is canonical regardless.
+    Ordered by (norm^2, lex) of the Levi weight.
     """
     win = _windows(rd, bound_sq)
     nroots = len(gd.degree1_roots) + len(gd.levi_positive_roots)
@@ -143,12 +139,7 @@ def spanning_set(
             f"subset terms per weight, over the 2^{cap} cap"
         )
     phis = enumerate_levi_dominant(rd, gd.levi_simple, win.span_sq)
-    if workers == 1 or len(phis) < 2:
-        classes = [pushforward(rd, gd, phi) for phi in phis]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            classes = list(pool.map(lambda phi: pushforward(rd, gd, phi), phis))
-    return list(zip(phis, classes))
+    return [(phi, pushforward(rd, gd, phi)) for phi in phis]
 
 
 def orbital_basis(
@@ -156,7 +147,6 @@ def orbital_basis(
     orbit: NilpotentOrbit,
     boundary_basis: Sequence[GeometricBasisVector],
     bound_sq,
-    workers: int = 1,
 ) -> list[GeometricBasisVector]:
     """Basis of the orbit's K-theory modulo classes on the closure boundary.
 
@@ -171,7 +161,7 @@ def orbital_basis(
                 f"{v.bound_sq}, current run uses {win.bound_sq}"
             )
     gd = grading_data(rd, orbit)
-    span = spanning_set(rd, gd, bound_sq, workers=workers)
+    span = spanning_set(rd, gd, bound_sq)
     # drop exact duplicates up front; they contribute nothing to the lattice
     seen: set[KClass] = set()
     candidates: list[tuple[Weight, KClass]] = []
@@ -183,7 +173,7 @@ def orbital_basis(
         rd, [kc for _, kc in candidates], win.support_sq, win.bound_sq
     )
     axis_index = {w: i for i, w in enumerate(split.axis)}
-    test = _IntEchelon()
+    test = IntEchelon()
     for v in boundary_basis:
         test.add(flatten_kclass(rd, v.kclass, axis_index))
 
@@ -212,7 +202,7 @@ def orbital_basis(
     return vectors
 
 
-def full_basis(rd: RootDatum, bound_sq, workers: int = 1) -> GeometricBasis:
+def full_basis(rd: RootDatum, bound_sq) -> GeometricBasis:
     """Geometric basis for every orbit, by induction over the closure order."""
     win = _windows(rd, bound_sq)
     orbits = tuple(classify_orbits(rd))
@@ -222,9 +212,7 @@ def full_basis(rd: RootDatum, bound_sq, workers: int = 1) -> GeometricBasis:
         boundary = []
         for z in poset.strictly_below(orbit.id):
             boundary.extend(strata[z])
-        strata[orbit.id] = tuple(
-            orbital_basis(rd, orbit, boundary, bound_sq, workers=workers)
-        )
+        strata[orbit.id] = tuple(orbital_basis(rd, orbit, boundary, bound_sq))
     return GeometricBasis(
         type_label=rd.type_label,
         bound_sq=win.bound_sq,

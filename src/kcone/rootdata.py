@@ -20,6 +20,8 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable, Sequence, Union
 
+from .linalg import solve
+
 Weight = tuple[int, ...]
 
 #: Largest rank accepted for the classical families A/B/C/D.
@@ -223,21 +225,6 @@ def _parse_label(type_label: str) -> list[tuple[str, int]]:
     return factors
 
 
-def _invert_fraction_matrix(m: Sequence[Sequence[int]]) -> list[list[Fraction]]:
-    n = len(m)
-    aug = [[Fraction(m[i][j]) for j in range(n)] + [Fraction(int(i == j)) for j in range(n)] for i in range(n)]
-    for c in range(n):
-        pivot = next(i for i in range(c, n) if aug[i][c] != 0)
-        aug[c], aug[pivot] = aug[pivot], aug[c]
-        pv = aug[c][c]
-        aug[c] = [x / pv for x in aug[c]]
-        for i in range(n):
-            if i != c and aug[i][c] != 0:
-                f = aug[i][c]
-                aug[i] = [x - f * y for x, y in zip(aug[i], aug[c])]
-    return [row[n:] for row in aug]
-
-
 @lru_cache(maxsize=None)
 def build_root_datum(type_label: str) -> RootDatum:
     """Construct the root datum for a Cartan type label such as "B2" or "A1xA1".
@@ -271,9 +258,12 @@ def build_root_datum(type_label: str) -> RootDatum:
     coeffs = tuple(rc[0] for rc in all_roots)
     coords = tuple(rc[1] for rc in all_roots)
 
-    cinv = _invert_fraction_matrix(cartan)
+    # gram = D * cartan^{-1}; column j of the inverse solves cartan * x = e_j
+    cols = [[cartan[i][j] for i in range(rank)] for j in range(rank)]
+    inverse_cols = [solve(cols, [int(i == j) for i in range(rank)]) for j in range(rank)]
     gram = tuple(
-        tuple(symmetrizer[i] * cinv[i][j] for j in range(rank)) for i in range(rank)
+        tuple(Fraction(symmetrizer[i] * nums[i], den) for nums, den in inverse_cols)
+        for i in range(rank)
     )
     for i in range(rank):
         for j in range(rank):
@@ -294,7 +284,9 @@ def build_root_datum(type_label: str) -> RootDatum:
 
 @lru_cache(maxsize=None)
 def _cartan_inverse(rd: RootDatum) -> tuple[tuple[Fraction, ...], ...]:
-    return tuple(tuple(row) for row in _invert_fraction_matrix(rd.cartan))
+    return tuple(
+        tuple(x / d for x in row) for row, d in zip(rd.gram, rd.symmetrizer)
+    )
 
 
 # ---------------------------------------------------------------------------

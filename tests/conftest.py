@@ -1,3 +1,4 @@
+import os
 import sys
 from pathlib import Path
 
@@ -5,7 +6,14 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 
+import kcone
 from kcone import build_root_datum, full_basis
+
+# subprocess tests run `python -m kcone.cli`; let them import the same kcone
+_KCONE_ROOT = str(Path(kcone.__file__).resolve().parent.parent)
+os.environ["PYTHONPATH"] = os.pathsep.join(
+    p for p in (_KCONE_ROOT, os.environ.get("PYTHONPATH")) if p
+)
 
 
 @pytest.fixture(scope="session")

@@ -75,24 +75,51 @@ def apply_weyl(m: Matrix, w) -> tuple[int, ...]:
 # characters via Weyl numerator division
 
 
-def _solve_fractions(cartan, w) -> list[Fraction]:
-    """Solve cartan * c = w exactly."""
-    rank = len(cartan)
-    aug = [[Fraction(cartan[i][j]) for j in range(rank)] + [Fraction(w[i])] for i in range(rank)]
-    for c in range(rank):
-        pivot = next(i for i in range(c, rank) if aug[i][c] != 0)
-        aug[c], aug[pivot] = aug[pivot], aug[c]
-        pv = aug[c][c]
-        aug[c] = [x / pv for x in aug[c]]
-        for i in range(rank):
-            if i != c and aug[i][c] != 0:
+def solve_fractions(columns, target):
+    """Fraction Gauss-Jordan solve of sum_j x_j * columns[j] = target.
+
+    Returns the list of x_j, or None when target is outside the span;
+    raises ValueError when the columns are linearly dependent.
+    """
+    ncols = len(columns)
+    aug = [
+        [Fraction(col[i]) for col in columns] + [Fraction(target[i])]
+        for i in range(len(target))
+    ]
+    pivot_row_of_col = {}
+    r = 0
+    for c in range(ncols):
+        pivot = next((i for i in range(r, len(aug)) if aug[i][c] != 0), None)
+        if pivot is None:
+            continue
+        aug[r], aug[pivot] = aug[pivot], aug[r]
+        pv = aug[r][c]
+        aug[r] = [x / pv for x in aug[r]]
+        for i in range(len(aug)):
+            if i != r and aug[i][c] != 0:
                 f = aug[i][c]
-                aug[i] = [x - f * y for x, y in zip(aug[i], aug[c])]
-    return [aug[i][rank] for i in range(rank)]
+                aug[i] = [x - f * y for x, y in zip(aug[i], aug[r])]
+        pivot_row_of_col[c] = r
+        r += 1
+    if len(pivot_row_of_col) != ncols:
+        raise ValueError("columns are linearly dependent")
+    if any(aug[i][ncols] != 0 for i in range(r, len(aug))):
+        return None
+    return [aug[pivot_row_of_col[c]][ncols] for c in range(ncols)]
+
+
+def cartan_inverse_fractions(cartan) -> list[list[Fraction]]:
+    """Inverse of a nonsingular integer matrix, column by column."""
+    rank = len(cartan)
+    cols = [[cartan[i][j] for i in range(rank)] for j in range(rank)]
+    inv_cols = [solve_fractions(cols, [int(i == j) for i in range(rank)]) for j in range(rank)]
+    return [[inv_cols[j][i] for j in range(rank)] for i in range(rank)]
 
 
 def weight_height(rd, w) -> Fraction:
-    return sum(_solve_fractions(rd.cartan, w))
+    rank = rd.rank
+    cols = [[rd.cartan[i][j] for i in range(rank)] for j in range(rank)]
+    return sum(solve_fractions(cols, w))
 
 
 def character_by_division(rd, hw) -> dict[tuple[int, ...], int]:

@@ -2,6 +2,8 @@ import json
 import subprocess
 import sys
 
+import pytest
+
 from kcone.cli import main
 
 
@@ -136,6 +138,59 @@ def test_acycle_wrong_rank_weight(capsys, tmp_path):
     code, _, err = run_cli(capsys, "acycle", "A1", "--bound-sq", "16", "--module", str(module))
     assert code == 2
     assert "mismatch" in err
+
+
+@pytest.mark.parametrize(
+    "module",
+    [
+        {"kclass": {"coeffs": [{"weight": [0], "coef": 1.7}]}},
+        {"kclass": {"coeffs": [{"weight": [0], "coef": True}]}},
+        {"kclass": {"coeffs": [{"weight": [0.0], "coef": 1}]}},
+        {"kclass": {"coeffs": [{"weight": [0], "coef": 1}], "rank": 1.5}},
+        {"kclass": {"coeffs": [{"weight": [0], "coef": 1}], "rank": False}},
+        {"standards": [{"coef": True, "lambda_l": [0], "lambda_r": [0]}]},
+        {"standards": [{"coef": 1, "lambda_l": [0.5], "lambda_r": [-0.5]}]},
+    ],
+    ids=[
+        "float-coef",
+        "bool-coef",
+        "float-weight",
+        "float-rank",
+        "bool-rank",
+        "bool-standard-coef",
+        "half-integer-lambda",
+    ],
+)
+def test_acycle_rejects_non_integer_fields(capsys, tmp_path, module):
+    path = tmp_path / "bad_types.json"
+    path.write_text(json.dumps(module))
+    code, out, err = run_cli(capsys, "acycle", "A1", "--bound-sq", "16", "--module", str(path))
+    assert code == 2
+    assert out == ""
+    assert "integer" in err
+
+
+def test_negative_subset_cap_exits_2(capsys, monkeypatch):
+    monkeypatch.setenv("KCONE_MAX_SUBSET_BITS", "-1")
+    code, _, err = run_cli(capsys, "basis", "A1", "--bound-sq", "4")
+    assert code == 2
+    assert "nonnegative" in err
+
+
+def test_basis_huge_bound_exits_3(capsys):
+    code, out, err = run_cli(capsys, "basis", "A1", "--bound-sq", "1e400")
+    assert code == 3
+    assert out == ""
+    assert err.startswith("error: truncation window too large")
+
+
+def test_parallelism_is_accepted_and_must_be_nonnegative(capsys):
+    code, out, _ = run_cli(capsys, "orbits", "A1", "--parallelism", "3")
+    assert code == 0
+    assert json.loads(out)
+    with pytest.raises(SystemExit) as exc:
+        main(["orbits", "A1", "--parallelism", "-1"])
+    assert exc.value.code == 2
 
 
 def test_acycle_bound_too_small(capsys, tmp_path):

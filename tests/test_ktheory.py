@@ -10,9 +10,9 @@ from kcone import (
     build_root_datum,
     classify_orbits,
     dominant_conjugate,
+    enumerate_dominant,
     gamma_class,
     grading_data,
-    hnf_basis_extract,
     kclass_add,
     kclass_from_terms,
     kclass_scale,
@@ -20,7 +20,7 @@ from kcone import (
     skyscraper_class,
     std_to_class,
 )
-from kcone.ktheory import hnf_certified_split
+from kcone.ktheory import _subset_cap_bits, flatten_kclass, hnf_certified_split
 
 from helpers import brute_dominant, brute_pushforward, weyl_group
 
@@ -179,31 +179,19 @@ def test_kclass_arithmetic(a1):
     assert kclass_scale(a, 0).is_zero()
 
 
-def test_hnf_basis_extract_examples(a1):
-    one = KClass((((0,), 1),))
-    # single vector is selected
-    res = hnf_basis_extract(a1, [one], [], 16)
-    assert res.selected == (0,)
-    # duplicate row: only the first survives
-    res = hnf_basis_extract(a1, [one, one], [], 16)
-    assert res.selected == (0,)
-    # independent modulo a sign-flipped partner
-    vec = KClass((((0,), 1), ((2,), 1)))
-    mod = KClass((((0,), 1), ((2,), -1)))
-    res = hnf_basis_extract(a1, [vec], [mod], 16)
-    assert res.selected == (0,)
-    # but dependent modulo itself
-    res = hnf_basis_extract(a1, [vec], [vec], 16)
-    assert res.selected == ()
-    # empty input
-    res = hnf_basis_extract(a1, [], [], 16)
-    assert res.selected == () and res.matrix.shape == (0, 0)
+def test_subset_cap_must_be_nonnegative(monkeypatch):
+    monkeypatch.setenv("KCONE_MAX_SUBSET_BITS", "-1")
+    with pytest.raises(ValueError, match="nonnegative"):
+        _subset_cap_bits()
+    monkeypatch.setenv("KCONE_MAX_SUBSET_BITS", "0")
+    assert _subset_cap_bits() == 0
 
 
 def test_flatten_rejects_out_of_window(a1):
     kc = KClass((((8,), 1),))
+    index = {w: i for i, w in enumerate(enumerate_dominant(a1, 16))}
     with pytest.raises(ValueError, match="outside"):
-        hnf_basis_extract(a1, [kc], [], 16)
+        flatten_kclass(a1, kc, index)
 
 
 def test_hnf_certified_split_a1_skyscrapers(a1):
