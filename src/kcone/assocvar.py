@@ -17,11 +17,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .ktheory import KClass, flatten_kclass, kclass_add, kclass_from_terms, kclass_scale, std_to_class
+from .ktheory import KClass, kclass_add, kclass_from_terms, kclass_scale, std_to_class
 from .linalg import solve
 from .nilpotent import ClosurePoset
 from .orbitalg import GeometricBasis, GeometricBasisVector
-from .rootdata import RootDatum, Weight, enumerate_dominant, weight_norm_sq
+from .rootdata import RootDatum, Weight, weight_norm_sq
 
 
 class BoundTooSmallError(ValueError):
@@ -74,12 +74,8 @@ def express_in_geometric_basis(
                 f"{basis.bound_sq}; recompute the basis with a larger bound"
             )
     certified = basis.certified_vectors()
-    axis = tuple(enumerate_dominant(rd, basis.support_window_sq))
-    axis_index = {w: i for i, w in enumerate(axis)}
-    cols = [flatten_kclass(rd, v.kclass, axis_index) for v in certified]
-    target = flatten_kclass(rd, kc, axis_index)
     try:
-        solved = solve(cols, target)
+        solved = solve([v.kclass.as_row() for v in certified], kc.as_row())
     except ValueError:
         raise InternalConsistencyError(
             "certified basis vectors are linearly dependent in the window"

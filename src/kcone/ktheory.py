@@ -13,9 +13,12 @@ with every term folded to its dominant conjugate, and rank equal to the
 Levi dimension of phi.  Skyscrapers at the origin are the special case
 where the Levi is the whole group and Delta(g[1]) is empty.
 
-The integer lattice the classes span over the truncated weight window is
-split by Hermite reduction (unimodular row operations only); rational work
-over the same window uses kcone.linalg.
+A class is its own sparse row: as_dict() maps each support weight to its
+nonzero coefficient (as_row() keys it for kcone.linalg), so no coordinate
+axis of the weight window is ever enumerated.  The integer lattice the
+classes span is split by Hermite reduction (unimodular row operations only)
+over the weights the classes carry; rational work on the same rows uses
+kcone.linalg.
 """
 
 from __future__ import annotations
@@ -25,13 +28,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
+from .linalg import combine
 from .nilpotent import GradingData
 from .repcalc import weyl_dim
 from .rootdata import (
     RootDatum,
     Weight,
     dominant_conjugate,
-    enumerate_dominant,
     is_dominant,
     weight_add,
     weight_norm_sq,
@@ -59,6 +62,16 @@ def _subset_cap_bits() -> int:
     return bits
 
 
+def _check_subset_cap(nroots: int, context: str) -> None:
+    """Raise SubsetCapExceededError before a 2^nroots alternating sum starts."""
+    cap = _subset_cap_bits()
+    if nroots > cap:
+        raise SubsetCapExceededError(
+            f"{context}: alternating sum needs 2^{nroots} subset terms, over the "
+            f"2^{cap} cap (raise {_SUBSET_CAP_ENV} to override)"
+        )
+
+
 # ---------------------------------------------------------------------------
 # K-theory classes
 
@@ -77,6 +90,16 @@ class KClass:
 
     def as_dict(self) -> dict[Weight, int]:
         return dict(self.coeffs)
+
+    def as_row(self) -> dict[Weight, int]:
+        """The class as a kcone.linalg row, keyed by negated weights.
+
+        A row pivots at its smallest key, here the class's lexicographically
+        largest weight.  Classes differ most in their largest weights and
+        share their small-weight tails, so this order needs far fewer
+        eliminations than keying by the weights themselves.
+        """
+        return {tuple(-x for x in w): c for w, c in self.coeffs}
 
     def is_zero(self) -> bool:
         return not self.coeffs
@@ -141,28 +164,15 @@ def _alternating_class(
     rank: int,
     context: str,
 ) -> KClass:
-    nroots = len(subtract_roots) + len(add_roots)
-    cap = _subset_cap_bits()
-    if nroots > cap:
-        raise SubsetCapExceededError(
-            f"{context}: alternating sum needs 2^{nroots} subset terms, over the "
-            f"2^{cap} cap (raise {_SUBSET_CAP_ENV} to override)"
-        )
+    _check_subset_cap(len(subtract_roots) + len(add_roots), context)
     # incremental products over (1 - e^{-alpha}) and (1 - e^{+beta}); merging
     # equal partial sums early keeps the term count far below 2^nroots
     offsets: dict[Weight, int] = {zero_weight(rd.rank): 1}
     for sign, roots in ((-1, subtract_roots), (+1, add_roots)):
         for root in roots:
             step = root if sign > 0 else tuple(-x for x in root)
-            new = dict(offsets)
-            for s, c in offsets.items():
-                key = weight_add(s, step)
-                val = new.get(key, 0) - c
-                if val:
-                    new[key] = val
-                else:
-                    new.pop(key, None)
-            offsets = new
+            shifted = {weight_add(s, step): c for s, c in offsets.items()}
+            offsets = combine(1, offsets, 1, shifted)
     return kclass_from_terms(
         rd, ((weight_add(phi, s), c) for s, c in offsets.items()), rank=rank
     )
@@ -208,48 +218,26 @@ def skyscraper_class(rd: RootDatum, phi: Sequence[int]) -> KClass:
 
 
 # ---------------------------------------------------------------------------
-# the integer lattice of classes over the truncated weight window
-
-
-def flatten_kclass(
-    rd: RootDatum, kc: KClass, axis_index: dict[Weight, int]
-) -> list[int]:
-    row = [0] * len(axis_index)
-    for w, c in kc.coeffs:
-        idx = axis_index.get(w)
-        if idx is None:
-            raise ValueError(
-                f"class support {w} lies outside the coordinate window of "
-                f"{len(axis_index)} dominant weights"
-            )
-        row[idx] = c
-    return row
+# the integer lattice of classes inside the support window
 
 
 class _TrackedRow:
-    """Integer row with bookkeeping of which input combination produced it."""
+    """Sparse integer row with the input combination that produced it."""
 
     __slots__ = ("vec", "comb", "order")
 
-    def __init__(self, vec: list[int], comb: dict[int, int], order: int) -> None:
+    def __init__(self, vec: dict[Weight, int], comb: dict[int, int], order: int) -> None:
         self.vec = vec
         self.comb = comb
         self.order = order
 
     def negate(self) -> None:
-        self.vec = [-x for x in self.vec]
+        self.vec = {w: -x for w, x in self.vec.items()}
         self.comb = {t: -c for t, c in self.comb.items()}
 
     def subtract(self, q: int, other: "_TrackedRow") -> None:
-        self.vec = [a - q * b for a, b in zip(self.vec, other.vec)]
-        comb = dict(self.comb)
-        for t, c in other.comb.items():
-            new = comb.get(t, 0) - q * c
-            if new:
-                comb[t] = new
-            else:
-                comb.pop(t, None)
-        self.comb = comb
+        self.vec = combine(1, self.vec, q, other.vec)
+        self.comb = combine(1, self.comb, q, other.comb)
 
 
 @dataclass(frozen=True)
@@ -264,7 +252,6 @@ class TrackedVector:
 class HnfSplit:
     certified: tuple[TrackedVector, ...]
     provisional: tuple[TrackedVector, ...]
-    axis: tuple[Weight, ...]
 
 
 def hnf_certified_split(
@@ -275,42 +262,44 @@ def hnf_certified_split(
 ) -> HnfSplit:
     """Hermite reduction of the integer row lattice spanned by the vectors.
 
-    Columns are the dominant weights up to support_norm_sq, processed from
-    the largest (norm^2, lex) down, so rows whose pivot falls inside the
-    certify window automatically have no support outside it: those rows are
-    an integer basis of the sublattice of combinations supported entirely
-    within the certify window.  The remaining pivot rows complete a basis of
-    the full lattice and are returned as provisional.  Each output records
-    the integer combination of input vectors that produced it.  Only
-    unimodular row operations are used, so tracked combinations reproduce
-    the rows exactly.
+    Every support weight must be dominant with norm^2 <= support_norm_sq,
+    else ValueError.  Columns are the weights in the inputs' supports,
+    processed from the largest (norm^2, lex) down; no row ever has an entry
+    outside them, so the result is the reduction over the whole window.  A
+    row whose pivot has norm^2 <= certify_norm_sq therefore has no support
+    outside the certify window: those rows are an integer basis of the
+    sublattice of combinations supported entirely within it.  The remaining
+    pivot rows complete a basis of the full lattice and are returned as
+    provisional.  Each output records the integer combination of input
+    vectors that produced it.  Only unimodular row operations are used, so
+    tracked combinations reproduce the rows exactly.
     """
     support_norm_sq = Fraction(support_norm_sq)
     certify_norm_sq = Fraction(certify_norm_sq)
-    axis = tuple(enumerate_dominant(rd, support_norm_sq))
-    rev = list(reversed(axis))
-    rev_index = {w: i for i, w in enumerate(rev)}
-    n_big = sum(1 for w in rev if weight_norm_sq(rd, w) > certify_norm_sq)
-
+    norm: dict[Weight, Fraction] = {}
     rows: list[_TrackedRow] = []
     for t, kc in enumerate(vectors):
-        if kc.is_zero():
-            continue
-        vec = [0] * len(rev)
-        for w, c in kc.coeffs:
-            idx = rev_index.get(w)
-            if idx is None:
-                raise ValueError(
-                    f"class support {w} lies outside the coordinate window"
-                )
-            vec[idx] = c
-        rows.append(_TrackedRow(vec, {t: 1}, t))
+        for w, _ in kc.coeffs:
+            if w not in norm:
+                if len(w) != rd.rank or not is_dominant(w):
+                    raise ValueError(f"class support {w} lies outside the dominant chamber")
+                norm[w] = weight_norm_sq(rd, w)
+                if norm[w] > support_norm_sq:
+                    raise ValueError(
+                        f"class support {w} lies outside the support window "
+                        f"norm^2 <= {support_norm_sq}"
+                    )
+        if not kc.is_zero():
+            rows.append(_TrackedRow(kc.as_dict(), {t: 1}, t))
 
-    done: dict[int, _TrackedRow] = {}
+    def key(w: Weight) -> tuple[Fraction, Weight]:
+        return norm[w], w
+
+    done: dict[Weight, _TrackedRow] = {}
     active = rows
-    for col in range(len(rev)):
-        with_entry = [r for r in active if r.vec[col]]
-        rest = [r for r in active if not r.vec[col]]
+    for col in sorted(norm, key=key, reverse=True):
+        with_entry = [r for r in active if col in r.vec]
+        rest = [r for r in active if col not in r.vec]
         while len(with_entry) > 1:
             with_entry.sort(key=lambda r: (abs(r.vec[col]), r.order))
             p = with_entry[0]
@@ -321,9 +310,9 @@ def hnf_certified_split(
                 q = r.vec[col] // p.vec[col]
                 if q:
                     r.subtract(q, p)
-                if r.vec[col]:
+                if col in r.vec:
                     survivors.append(r)
-                elif any(r.vec):
+                elif r.vec:
                     rest.append(r)
             with_entry = survivors
         if with_entry:
@@ -333,20 +322,15 @@ def hnf_certified_split(
             done[col] = p
         active = rest
 
-    axis_pos = {w: i for i, w in enumerate(axis)}
-
-    def build(col: int) -> TrackedVector:
+    def build(col: Weight) -> TrackedVector:
         row = done[col]
-        support = [(axis_pos[rev[i]], rev[i], x) for i, x in enumerate(row.vec) if x]
-        support.sort()
-        if support[0][2] < 0:  # leading (smallest-norm) coefficient positive
+        if row.vec[min(row.vec, key=key)] < 0:  # smallest-norm coefficient positive
             row.negate()
-            support = [(p, w, -x) for p, w, x in support]
-        coeffs = tuple(sorted((w, x) for _, w, x in support))
         comb = tuple(sorted(row.comb.items()))
-        return TrackedVector(KClass(coeffs), comb)
+        return TrackedVector(KClass(tuple(sorted(row.vec.items()))), comb)
 
-    certified = tuple(build(c) for c in sorted((c for c in done if c >= n_big), reverse=True))
-    provisional = tuple(build(c) for c in sorted((c for c in done if c < n_big), reverse=True))
-    return HnfSplit(certified, provisional, axis)
-
+    pivots = sorted(done, key=key)
+    return HnfSplit(
+        tuple(build(c) for c in pivots if norm[c] <= certify_norm_sq),
+        tuple(build(c) for c in pivots if norm[c] > certify_norm_sq),
+    )

@@ -1,60 +1,73 @@
 """Exact linear algebra over the rationals by fraction-free integer elimination.
 
-Rows are lists of Python ints.  Elimination cross-multiplies (Bareiss-style,
-no division) and divides every new row by the gcd of its entries, so entries
-stay small and no Fraction is ever formed.  The Hermite reduction over the
-integers, which needs unimodular steps, lives in ktheory.hnf_certified_split.
+A row is a sparse dict from mutually comparable keys to nonzero ints;
+KClass.as_row() gives one per K-theory class.  The pivot of a row is its
+smallest key.  Elimination cross-multiplies (Bareiss-style, no division)
+and divides every new row by the gcd of its entries, so entries stay small
+and no Fraction is ever formed.  The Hermite reduction over the integers,
+which needs unimodular steps, lives in ktheory.hnf_certified_split.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Optional, Sequence
+from typing import Hashable, Mapping, Optional, Sequence
+
+Row = dict[Hashable, int]
 
 
-def _normalize_row(row: list[int]) -> list[int]:
-    g = 0
-    for x in row:
-        g = math.gcd(g, x)
-    if g > 1:
-        row = [x // g for x in row]
-    for x in row:
+def combine(a: int, row: Mapping, b: int, other: Mapping) -> Row:
+    """a * row - b * other for rows without zero entries; a must be nonzero."""
+    out = dict(row) if a == 1 else {k: a * x for k, x in row.items()}
+    for k, y in other.items():
+        x = out.get(k, 0) - b * y
         if x:
-            return row if x > 0 else [-y for y in row]
-    return row
+            out[k] = x
+        else:
+            out.pop(k, None)
+    return out
+
+
+def _normalize_row(row: Row) -> Row:
+    """Divide by the gcd of the entries."""
+    g = math.gcd(*row.values())
+    return {k: x // g for k, x in row.items()} if g > 1 else row
 
 
 class IntEchelon:
-    """Row space over the rationals, kept as gcd-reduced integer rows."""
+    """Row space over the rationals, kept as gcd-reduced integer rows.
+
+    Each stored row is zero at the pivots of the rows stored before it, and
+    eliminating a pivot only touches keys above it, so reducing pivot by
+    pivot in increasing order leaves a row zero at every pivot.
+    """
 
     def __init__(self) -> None:
-        self._pivots: list[int] = []
-        self._rows: list[list[int]] = []
+        self._pivots: list = []
+        self._rows: list[Row] = []
 
-    def reduce(self, row: Sequence[int]) -> list[int]:
+    def reduce(self, row: Mapping) -> Row:
         """Row minus a combination of the stored rows, up to a nonzero factor.
 
-        The result is zero at every pivot position, so it is zero exactly
-        when row lies in the span.
+        The result is zero at every pivot, so it is empty exactly when row
+        lies in the span.
         """
-        row = list(row)
+        row = {k: x for k, x in row.items() if x}
         for pivot, base in zip(self._pivots, self._rows):
-            x = row[pivot]
+            x = row.get(pivot)
             if x:
                 p = base[pivot]
                 g = math.gcd(p, x)
-                a, b = p // g, x // g
-                row = [a * u - b * v for u, v in zip(row, base)]
-                row = _normalize_row(row)
+                row = _normalize_row(combine(p // g, row, x // g, base))
         return row
 
-    def add(self, row: Sequence[int]) -> bool:
+    def add(self, row: Mapping) -> bool:
         """Insert if independent of the current span; return whether it was."""
         red = self.reduce(row)
-        pivot = next((i for i, x in enumerate(red) if x), None)
-        if pivot is None:
+        if not red:
             return False
         red = _normalize_row(red)
+        pivot = min(red)
         pos = 0
         while pos < len(self._pivots) and self._pivots[pos] < pivot:
             pos += 1
@@ -67,7 +80,7 @@ class IntEchelon:
 
 
 def solve(
-    columns: Sequence[Sequence[int]], target: Sequence[int]
+    columns: Sequence[Mapping], target: Mapping
 ) -> Optional[tuple[list[int], int]]:
     """Exact x with sum_j x[j] * columns[j] == target, as (numerators, denominator).
 
@@ -75,27 +88,32 @@ def solve(
     ValueError when the columns are linearly dependent.  The denominator is
     positive and shares no factor with all numerators at once.
 
-    Each column c_j becomes the row (c_j | e_j | 0) and the target the row
-    (t | 0 | 1).  Every row the elimination produces from the target is
-    s * (t | 0 | 1) - sum_j x_j * (c_j | e_j | 0) with s != 0, since the
-    column rows are 0 in the marker slot and every step rescales the target
-    row by a nonzero factor before subtracting column rows.  The reduced
-    target is 0 at every pivot.  When the columns are independent their k
-    pivots all lie in the first block, so the first block of the reduced
+    Each column c_j becomes the row with entries c_j[w] at (0, w) and 1 at
+    (1, j); the target becomes t[w] at (0, w) and 1 at the marker (2,).  The
+    class block (0, .) sorts before the unit block (1, .), which sorts
+    before the marker.  Every row the elimination produces from the target
+    is s * target - sum_j x_j * column_j with s != 0, since column rows have
+    no marker entry and every step rescales the target row by a nonzero
+    factor before subtracting column rows.  The reduced target is 0 at every
+    pivot.  A row's pivot is its smallest key, so a stored row with any
+    class-block entry has its pivot there; when the columns are independent
+    all k pivots lie in the class block, and the class block of the reduced
     target, s * t - sum x_j c_j, is 0 exactly when t is in the span; then
-    t = sum (x_j / s) c_j and the second block holds -x.  A dependent column
-    reduces to 0 in the first block, so its pivot falls in the second.
+    t = sum (x_j / s) c_j and the unit block holds -x.  A dependent column
+    reduces to 0 in the class block, so its pivot falls in the unit block.
     """
-    m, k = len(target), len(columns)
+    k = len(columns)
     ech = IntEchelon()
     for j, col in enumerate(columns):
-        row = list(col) + [0] * (k + 1)
-        row[m + j] = 1
+        row = {(0, w): x for w, x in col.items()}
+        row[(1, j)] = 1
         ech.add(row)
-    if sum(1 for p in ech._pivots if p < m) < k:
+    if sum(1 for p in ech._pivots if p[0] == 0) < k:
         raise ValueError("columns are linearly dependent")
-    red = ech.reduce(list(target) + [0] * k + [1])
-    if any(red[:m]):
+    row = {(0, w): x for w, x in target.items()}
+    row[(2,)] = 1
+    red = ech.reduce(row)
+    if any(key[0] == 0 for key in red):
         return None
-    sign = 1 if red[-1] > 0 else -1
-    return [-sign * x for x in red[m : m + k]], sign * red[-1]
+    sign = 1 if red[(2,)] > 0 else -1
+    return [-sign * red.get((1, j), 0) for j in range(k)], sign * red[(2,)]

@@ -54,9 +54,6 @@ class GradingData:
     levi_simple: tuple[int, ...]
     ge2_roots: tuple[Weight, ...]
 
-    def __hash__(self):  # grade_of_root is derived data; hash the generators
-        return hash((self.orbit_id, self.marks))
-
 
 @dataclass(frozen=True)
 class ClosurePoset:

@@ -1,13 +1,15 @@
 """Per-orbit geometric bases of equivariant K-theory, by closure induction.
 
 For a target norm bound N the computation works in two nested windows:
-Levi highest weights phi are enumerated up to ||phi|| <= N + C, and all
-linear algebra happens over dominant weights up to norm N + 2C, where C is
-an upper bound for the length of any sum of distinct positive roots (we use
-the sum of the lengths of all positive roots).  Square roots are replaced
-by rational upper bounds, which only enlarges the windows and never affects
-soundness; certification of a basis vector is the exact rational test that
-its whole support has norm^2 <= N^2.
+Levi highest weights phi are enumerated up to ||phi|| <= N + C, and every
+class they push forward is supported on dominant weights of norm at most
+N + 2C, where C is an upper bound for the length of any sum of distinct
+positive roots (we use the sum of the lengths of all positive roots).  The
+second window is a check, not an axis: all linear algebra runs on sparse
+rows over the weights the classes actually carry.  Square roots are
+replaced by rational upper bounds, which only enlarges the windows and
+never affects soundness; certification of a basis vector is the exact
+rational test that its whole support has norm^2 <= N^2.
 
 Per orbit, the pushforward spanning set (in (norm^2, lex) order of the
 Levi weight) generates an integer lattice of classes.  Hermite reduction
@@ -28,14 +30,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .ktheory import (
-    KClass,
-    SubsetCapExceededError,
-    _subset_cap_bits,
-    flatten_kclass,
-    hnf_certified_split,
-    pushforward,
-)
+from .ktheory import KClass, _check_subset_cap, hnf_certified_split, pushforward
 from .linalg import IntEchelon
 from .nilpotent import (
     ClosurePoset,
@@ -131,13 +126,11 @@ def spanning_set(rd: RootDatum, gd: GradingData, bound_sq) -> list[tuple[Weight,
     Ordered by (norm^2, lex) of the Levi weight.
     """
     win = _windows(rd, bound_sq)
-    nroots = len(gd.degree1_roots) + len(gd.levi_positive_roots)
-    cap = _subset_cap_bits()
-    if nroots > cap:
-        raise SubsetCapExceededError(
-            f"orbit {gd.orbit_id} of {rd.type_label}: spanning set needs 2^{nroots} "
-            f"subset terms per weight, over the 2^{cap} cap"
-        )
+    # fail before enumerating the window, which can dwarf the cap check
+    _check_subset_cap(
+        len(gd.degree1_roots) + len(gd.levi_positive_roots),
+        f"spanning set on orbit {gd.orbit_id} of {rd.type_label}",
+    )
     phis = enumerate_levi_dominant(rd, gd.levi_simple, win.span_sq)
     return [(phi, pushforward(rd, gd, phi)) for phi in phis]
 
@@ -172,16 +165,15 @@ def orbital_basis(
     split = hnf_certified_split(
         rd, [kc for _, kc in candidates], win.support_sq, win.bound_sq
     )
-    axis_index = {w: i for i, w in enumerate(split.axis)}
     test = IntEchelon()
     for v in boundary_basis:
-        test.add(flatten_kclass(rd, v.kclass, axis_index))
+        test.add(v.kclass.as_row())
 
     vectors = []
     for tracked, certified in [(t, True) for t in split.certified] + [
         (t, False) for t in split.provisional
     ]:
-        if not test.add(flatten_kclass(rd, tracked.kclass, axis_index)):
+        if not test.add(tracked.kclass.as_row()):
             continue  # already in boundary span plus earlier selections
         combination = tuple((candidates[t][0], n) for t, n in tracked.combination)
         rank = sum(n * candidates[t][1].rank for t, n in tracked.combination)

@@ -259,8 +259,8 @@ def build_root_datum(type_label: str) -> RootDatum:
     coords = tuple(rc[1] for rc in all_roots)
 
     # gram = D * cartan^{-1}; column j of the inverse solves cartan * x = e_j
-    cols = [[cartan[i][j] for i in range(rank)] for j in range(rank)]
-    inverse_cols = [solve(cols, [int(i == j) for i in range(rank)]) for j in range(rank)]
+    cols = [{i: cartan[i][j] for i in range(rank)} for j in range(rank)]
+    inverse_cols = [solve(cols, {j: 1}) for j in range(rank)]
     gram = tuple(
         tuple(Fraction(symmetrizer[i] * nums[i], den) for nums, den in inverse_cols)
         for i in range(rank)

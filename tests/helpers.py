@@ -9,7 +9,10 @@ dominant element of a brute-force Weyl orbit.
 
 from __future__ import annotations
 
+import hashlib
 import itertools
+import json
+import math
 from fractions import Fraction
 
 Matrix = tuple[tuple[int, ...], ...]
@@ -234,3 +237,200 @@ def brute_pushforward(rd, gd, phi) -> dict[tuple[int, ...], int]:
                     sign = -1 if (na + nb) % 2 else 1
                     out[folded] = out.get(folded, 0) + sign
     return {w: c for w, c in out.items() if c}
+
+
+# ---------------------------------------------------------------------------
+# dense reference for the sparse kernels: classes flattened onto the whole
+# enumerated support window, the Hermite split over every column of it, and
+# the boundary independence test on dense rows pivoting at the first column
+
+
+def flatten_kclass(kc, axis_index) -> list[int]:
+    """Dense row of a class over the window axis (weight -> column index)."""
+    row = [0] * len(axis_index)
+    for w, c in kc.coeffs:
+        idx = axis_index.get(w)
+        if idx is None:
+            raise ValueError(
+                f"class support {w} lies outside the coordinate window of "
+                f"{len(axis_index)} dominant weights"
+            )
+        row[idx] = c
+    return row
+
+
+def _dense_normalize_row(row: list[int]) -> list[int]:
+    g = 0
+    for x in row:
+        g = math.gcd(g, x)
+    if g > 1:
+        row = [x // g for x in row]
+    for x in row:
+        if x:
+            return row if x > 0 else [-y for y in row]
+    return row
+
+
+class DenseIntEchelon:
+    """Rational row space of dense integer rows; pivot = first nonzero column."""
+
+    def __init__(self) -> None:
+        self._pivots: list[int] = []
+        self._rows: list[list[int]] = []
+
+    def add(self, row) -> bool:
+        row = list(row)
+        for pivot, base in zip(self._pivots, self._rows):
+            x = row[pivot]
+            if x:
+                p = base[pivot]
+                g = math.gcd(p, x)
+                a, b = p // g, x // g
+                row = _dense_normalize_row([a * u - b * v for u, v in zip(row, base)])
+        pivot = next((i for i, x in enumerate(row) if x), None)
+        if pivot is None:
+            return False
+        pos = 0
+        while pos < len(self._pivots) and self._pivots[pos] < pivot:
+            pos += 1
+        self._pivots.insert(pos, pivot)
+        self._rows.insert(pos, _dense_normalize_row(row))
+        return True
+
+
+class _DenseTrackedRow:
+    def __init__(self, vec: list[int], comb: dict[int, int], order: int) -> None:
+        self.vec = vec
+        self.comb = comb
+        self.order = order
+
+    def negate(self) -> None:
+        self.vec = [-x for x in self.vec]
+        self.comb = {t: -c for t, c in self.comb.items()}
+
+    def subtract(self, q: int, other) -> None:
+        self.vec = [a - q * b for a, b in zip(self.vec, other.vec)]
+        comb = dict(self.comb)
+        for t, c in other.comb.items():
+            new = comb.get(t, 0) - q * c
+            if new:
+                comb[t] = new
+            else:
+                comb.pop(t, None)
+        self.comb = comb
+
+
+def dense_hnf_certified_split(rd, vectors, support_norm_sq, certify_norm_sq):
+    """Hermite split over every dominant weight of the support window.
+
+    Returns (certified, provisional), each a list of (coeffs, combination)
+    with coeffs sorted by weight and combination sorted by input index.
+    """
+    from kcone import enumerate_dominant, weight_norm_sq
+
+    axis = tuple(enumerate_dominant(rd, Fraction(support_norm_sq)))
+    rev = list(reversed(axis))
+    rev_index = {w: i for i, w in enumerate(rev)}
+    n_big = sum(1 for w in rev if weight_norm_sq(rd, w) > Fraction(certify_norm_sq))
+    rows = [
+        _DenseTrackedRow(flatten_kclass(kc, rev_index), {t: 1}, t)
+        for t, kc in enumerate(vectors)
+        if not kc.is_zero()
+    ]
+    done = {}
+    active = rows
+    for col in range(len(rev)):
+        with_entry = [r for r in active if r.vec[col]]
+        rest = [r for r in active if not r.vec[col]]
+        while len(with_entry) > 1:
+            with_entry.sort(key=lambda r: (abs(r.vec[col]), r.order))
+            p = with_entry[0]
+            if p.vec[col] < 0:
+                p.negate()
+            survivors = [p]
+            for r in with_entry[1:]:
+                q = r.vec[col] // p.vec[col]
+                if q:
+                    r.subtract(q, p)
+                if r.vec[col]:
+                    survivors.append(r)
+                elif any(r.vec):
+                    rest.append(r)
+            with_entry = survivors
+        if with_entry:
+            p = with_entry[0]
+            if p.vec[col] < 0:
+                p.negate()
+            done[col] = p
+        active = rest
+
+    def build(col):
+        row = done[col]
+        lead = next(x for x in reversed(row.vec) if x)  # smallest (norm^2, lex)
+        if lead < 0:
+            row.negate()
+        coeffs = tuple(sorted((rev[i], x) for i, x in enumerate(row.vec) if x))
+        return coeffs, tuple(sorted(row.comb.items()))
+
+    certified = [build(c) for c in sorted((c for c in done if c >= n_big), reverse=True)]
+    provisional = [build(c) for c in sorted((c for c in done if c < n_big), reverse=True)]
+    return certified, provisional
+
+
+def dense_strata(rd, bound_sq):
+    """full_basis strata through the dense kernels, keyed by orbit id.
+
+    Each vector is (coeffs, combination, rank, certified), as in
+    library_strata.
+    """
+    from kcone import KClass, classify_orbits, closure_poset, enumerate_dominant
+    from kcone import grading_data, spanning_set
+    from kcone.orbitalg import _windows
+
+    win = _windows(rd, bound_sq)
+    index = {w: i for i, w in enumerate(enumerate_dominant(rd, win.support_sq))}
+    orbits = classify_orbits(rd)
+    poset = closure_poset(rd, orbits)
+    strata = {}
+    for orbit in orbits:
+        seen, candidates = set(), []
+        for phi, kc in spanning_set(rd, grading_data(rd, orbit), bound_sq):
+            if kc not in seen:
+                seen.add(kc)
+                candidates.append((phi, kc))
+        certified, provisional = dense_hnf_certified_split(
+            rd, [kc for _, kc in candidates], win.support_sq, win.bound_sq
+        )
+        test = DenseIntEchelon()
+        for z in poset.strictly_below(orbit.id):
+            for coeffs, *_ in strata[z]:
+                test.add(flatten_kclass(KClass(coeffs), index))
+        out = []
+        for (coeffs, comb), cert in [(t, True) for t in certified] + [
+            (t, False) for t in provisional
+        ]:
+            if not test.add(flatten_kclass(KClass(coeffs), index)):
+                continue
+            combination = tuple((candidates[t][0], n) for t, n in comb)
+            rank = sum(n * candidates[t][1].rank for t, n in comb)
+            out.append((coeffs, combination, rank, cert))
+        strata[orbit.id] = tuple(out)
+    return strata
+
+
+def library_strata(basis):
+    """A GeometricBasis's strata in the dense_strata format."""
+    return {
+        oid: tuple((v.kclass.coeffs, v.combination, v.rank, v.certified) for v in vectors)
+        for oid, vectors in basis.strata.items()
+    }
+
+
+def strata_digest(strata) -> str:
+    """sha256 of the strata in orbit-id order, as canonical JSON."""
+    rows = [
+        [oid, [[list(w), c] for w, c in coeffs], [[list(w), n] for w, n in comb], rank, cert]
+        for oid in sorted(strata)
+        for coeffs, comb, rank, cert in strata[oid]
+    ]
+    return hashlib.sha256(json.dumps(rows).encode()).hexdigest()

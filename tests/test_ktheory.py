@@ -10,7 +10,6 @@ from kcone import (
     build_root_datum,
     classify_orbits,
     dominant_conjugate,
-    enumerate_dominant,
     gamma_class,
     grading_data,
     kclass_add,
@@ -20,7 +19,7 @@ from kcone import (
     skyscraper_class,
     std_to_class,
 )
-from kcone.ktheory import _subset_cap_bits, flatten_kclass, hnf_certified_split
+from kcone.ktheory import _subset_cap_bits, hnf_certified_split
 
 from helpers import brute_dominant, brute_pushforward, weyl_group
 
@@ -177,6 +176,9 @@ def test_kclass_arithmetic(a1):
     assert kclass_scale(b, -2).rank == -6
     assert kclass_add(a, KClass((), None)).rank is None
     assert kclass_scale(a, 0).is_zero()
+    # linalg rows are keyed by negated weights: the pivot is the largest weight
+    assert b.as_row() == {(0,): -1, (-2,): 2}
+    assert min(b.as_row()) == (-2,)
 
 
 def test_subset_cap_must_be_nonnegative(monkeypatch):
@@ -187,11 +189,22 @@ def test_subset_cap_must_be_nonnegative(monkeypatch):
     assert _subset_cap_bits() == 0
 
 
-def test_flatten_rejects_out_of_window(a1):
-    kc = KClass((((8,), 1),))
-    index = {w: i for i, w in enumerate(enumerate_dominant(a1, 16))}
-    with pytest.raises(ValueError, match="outside"):
-        flatten_kclass(a1, kc, index)
+def test_hnf_split_rejects_out_of_window(a1):
+    # (8,) has norm^2 32 > 16; (2,) and (4,) fit
+    inside = KClass((((2,), 1), ((4,), -1)))
+    assert hnf_certified_split(a1, [inside], 16, 16).certified
+    with pytest.raises(ValueError, match="outside the support window"):
+        hnf_certified_split(a1, [inside, KClass((((8,), 1),))], 16, 16)
+
+
+def test_hnf_split_rejects_non_dominant(a1, a2):
+    with pytest.raises(ValueError, match="outside the dominant chamber"):
+        hnf_certified_split(a1, [KClass((((-2,), 1),))], 16, 16)
+    with pytest.raises(ValueError, match="outside the dominant chamber"):
+        hnf_certified_split(a2, [KClass((((1, -1), 1),))], 16, 16)
+    # a weight of the wrong rank is not in the window either
+    with pytest.raises(ValueError, match="outside the dominant chamber"):
+        hnf_certified_split(a2, [KClass((((1,), 1),))], 16, 16)
 
 
 def test_hnf_certified_split_a1_skyscrapers(a1):

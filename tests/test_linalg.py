@@ -12,11 +12,10 @@ from kcone import (
     module_to_kclass,
     weight_norm_sq,
 )
-from kcone.ktheory import flatten_kclass
 from kcone.linalg import IntEchelon, solve
 from kcone.rootdata import _cartan_inverse
 
-from helpers import cartan_inverse_fractions, solve_fractions
+from helpers import cartan_inverse_fractions, flatten_kclass, rational_rank, solve_fractions
 
 
 def as_fractions(solved):
@@ -27,23 +26,42 @@ def as_fractions(solved):
     return [Fraction(x, denominator) for x in numerators]
 
 
-def assert_matches_reference(columns, target):
+def sparse(row, keys, rng=None):
+    """Dense row as a dict over keys; with rng, some zeros stay explicit."""
+    return {k: x for k, x in zip(keys, row) if x or (rng and rng.random() < 0.3)}
+
+
+def assert_matches_reference(columns, target, keys=None, rng=None):
+    """solve on dict rows against the Fraction reference on dense rows."""
+    keys = keys or list(range(len(target)))
+    sparse_columns = [sparse(col, keys, rng) for col in columns]
+    sparse_target = sparse(target, keys, rng)
     try:
         expected = solve_fractions(columns, target)
     except ValueError:
         with pytest.raises(ValueError, match="dependent"):
-            solve(columns, target)
+            solve(sparse_columns, sparse_target)
         return "dependent"
-    assert as_fractions(solve(columns, target)) == expected
+    assert as_fractions(solve(sparse_columns, sparse_target)) == expected
     if expected is None:
         return "out of span"
     return "integer" if all(x.denominator == 1 for x in expected) else "non-integer"
 
 
+def random_weight_keys(rng, m):
+    """m distinct weight tuples in random order, so key order != column order."""
+    keys = set()
+    while len(keys) < m:
+        keys.add((rng.randint(0, 9), rng.randint(-3, 3)))
+    keys = sorted(keys)
+    rng.shuffle(keys)
+    return keys
+
+
 def test_int_echelon_add_examples():
-    one = [1, 0, 0]
-    vec = [1, 0, 1]
-    flipped = [1, 0, -1]
+    one = {0: 1}
+    vec = {0: 1, 2: 1}
+    flipped = {0: 1, 2: -1}
     # a single row is independent; its duplicate is not
     ech = IntEchelon()
     assert ech.add(one)
@@ -57,27 +75,54 @@ def test_int_echelon_add_examples():
     ech = IntEchelon()
     assert ech.add(vec)
     assert not ech.add(vec)
-    assert not ech.add([-3 * x for x in vec])
-    # empty input: nothing stored, zero rows never enter
+    assert not ech.add({k: -3 * x for k, x in vec.items()})
+    # empty input: nothing stored, empty and all-zero rows never enter
     ech = IntEchelon()
     assert len(ech) == 0
-    assert not ech.add([0, 0, 0])
+    assert not ech.add({})
+    assert not ech.add({0: 0, 1: 0, 2: 0})
     assert len(ech) == 0
+    # weight keys: the pivot is the lexicographically smallest weight
+    ech = IntEchelon()
+    assert ech.add({(1, 0): 2, (0, 1): -2})
+    assert ech.add({(0, 1): 1, (2, 2): 0})
+    assert not ech.add({(1, 0): 5})
+    assert ech._pivots == [(0, 1), (1, 0)]
+
+
+def test_int_echelon_matches_rational_rank():
+    rng = random.Random(20261018)
+    for _ in range(200):
+        m = rng.randint(1, 6)
+        keys = random_weight_keys(rng, m)
+        rows = [[rng.choice((0, 0, 0, rng.randint(-4, 4))) for _ in range(m)] for _ in range(rng.randint(0, 7))]
+        if len(rows) >= 2 and rng.random() < 0.3:
+            rows.append([3 * a - b for a, b in zip(rows[0], rows[1])])
+        ech = IntEchelon()
+        for i, row in enumerate(rows):
+            grows = rational_rank(rows[: i + 1]) > rational_rank(rows[:i])
+            assert ech.add(sparse(row, keys, rng)) == grows
+        assert len(ech) == rational_rank(rows)
 
 
 def test_solve_examples():
     # integer coordinates: 2 * (1, 1) - (0, 1) = (2, 1)
-    assert solve([[1, 1], [0, 1]], [2, 1]) == ([2, -1], 1)
+    assert solve([{0: 1, 1: 1}, {1: 1}], {0: 2, 1: 1}) == ([2, -1], 1)
     # non-integer coordinates: (1, 0) = 1/2 * (2, 0)
-    assert solve([[2, 0]], [1, 0]) == ([1], 2)
+    assert solve([{0: 2}], {0: 1}) == ([1], 2)
     # out of span
-    assert solve([[1, 0, 0], [0, 1, 0]], [0, 0, 1]) is None
+    assert solve([{0: 1}, {1: 1}], {2: 1}) is None
     # dependent columns raise, whatever the target
     with pytest.raises(ValueError, match="dependent"):
-        solve([[1, 2], [2, 4]], [1, 2])
+        solve([{0: 1, 1: 2}, {0: 2, 1: 4}], {0: 1, 1: 2})
+    with pytest.raises(ValueError, match="dependent"):
+        solve([{(0, 1): 1}, {(0, 1): 0}], {})
     # no columns: only the zero target is in the span
-    assert solve([], [0, 0]) == ([], 1)
-    assert solve([], [0, 1]) is None
+    assert solve([], {}) == ([], 1)
+    assert solve([], {(0, 0): 0}) == ([], 1)
+    assert solve([], {(0, 1): 1}) is None
+    # weight keys, with an explicit zero
+    assert solve([{(1, 0): 1, (0, 2): 0}, {(0, 2): 3}], {(1, 0): 2, (0, 2): 1}) == ([6, 1], 3)
 
 
 def test_solve_matches_fraction_reference():
@@ -89,6 +134,8 @@ def test_solve_matches_fraction_reference():
         columns = [[rng.randint(-4, 4) for _ in range(m)] for _ in range(k)]
         if k >= 2 and rng.random() < 0.2:
             columns[-1] = [2 * a - 3 * b for a, b in zip(columns[0], columns[1])]
+        if k and rng.random() < 0.05:
+            columns[-1] = [0] * m  # an empty row is a dependent column
         if k and rng.random() < 0.6:
             weights = [Fraction(rng.randint(-6, 6), rng.choice((1, 1, 2, 3))) for _ in columns]
             raw = [sum(w * col[i] for w, col in zip(weights, columns)) for i in range(m)]
@@ -97,6 +144,7 @@ def test_solve_matches_fraction_reference():
         else:
             target = [rng.randint(-5, 5) for _ in range(m)]
         seen.add(assert_matches_reference(columns, target))
+        seen.add(assert_matches_reference(columns, target, random_weight_keys(rng, m), rng))
     assert seen == {"integer", "non-integer", "out of span", "dependent"}
 
 
@@ -105,7 +153,7 @@ def test_solve_seeded_a2_modules(basis_cache):
     basis = basis_cache("A2", 50)
     axis = enumerate_dominant(rd, basis.support_window_sq)
     index = {w: i for i, w in enumerate(axis)}
-    columns = [flatten_kclass(rd, v.kclass, index) for v in basis.certified_vectors()]
+    columns = [flatten_kclass(v.kclass, index) for v in basis.certified_vectors()]
     rng = random.Random(7)
     for _ in range(6):
         terms = []
@@ -118,7 +166,8 @@ def test_solve_seeded_a2_modules(basis_cache):
                     break
             terms.append((rng.choice((-2, -1, 1, 2)), lam_l, lam_r))
         kc = module_to_kclass(rd, VirtualModule(terms=tuple(terms)))
-        assert assert_matches_reference(columns, flatten_kclass(rd, kc, index)) == "integer"
+        target = flatten_kclass(kc, index)
+        assert assert_matches_reference(columns, target, list(axis)) == "integer"
 
 
 @pytest.mark.parametrize("label", ["A1", "A2", "B2", "C3", "D4", "G2", "F4", "E6", "A1xA1"])

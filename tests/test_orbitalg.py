@@ -4,6 +4,7 @@ import pytest
 
 from kcone import (
     InconsistentBoundError,
+    SubsetCapExceededError,
     build_root_datum,
     classify_orbits,
     enumerate_dominant,
@@ -17,10 +18,11 @@ from kcone import (
     spanning_set,
     weyl_dim,
 )
-from kcone.ktheory import KClass, flatten_kclass
+from kcone import orbitalg
+from kcone.ktheory import KClass
 from kcone.linalg import IntEchelon
 
-from helpers import rational_rank
+from helpers import flatten_kclass, rational_rank
 
 
 def test_norm_constant_values(a1, a2, b2):
@@ -102,7 +104,7 @@ def test_certified_vectors_independent(basis_cache):
         basis = basis_cache(label, bound)
         axis = enumerate_dominant(rd, basis.support_window_sq)
         index = {w: i for i, w in enumerate(axis)}
-        rows = [flatten_kclass(rd, v.kclass, index) for v in basis.certified_vectors()]
+        rows = [flatten_kclass(v.kclass, index) for v in basis.certified_vectors()]
         assert rational_rank(rows) == len(rows)
 
 
@@ -147,16 +149,24 @@ def test_boundary_kernel_a1(basis_cache):
     # skyscrapers reduce to zero modulo the zero-orbit stratum
     rd = build_root_datum("A1")
     basis = basis_cache("A1", 16)
-    axis = enumerate_dominant(rd, basis.support_window_sq)
-    index = {w: i for i, w in enumerate(axis)}
     ech = IntEchelon()
     for v in basis.strata[0]:
-        ech.add(flatten_kclass(rd, v.kclass, index))
+        ech.add(v.kclass.as_row())
     from kcone import skyscraper_class
 
     for n in range(8):
-        row = flatten_kclass(rd, skyscraper_class(rd, (n,)), index)
-        assert not ech.add(row)
+        assert not ech.add(skyscraper_class(rd, (n,)).as_row())
+
+
+def test_spanning_set_checks_subset_cap_before_enumerating(monkeypatch, a2):
+    def no_enumeration(*args):
+        raise AssertionError("enumerated the span window before the cap check")
+
+    monkeypatch.setenv("KCONE_MAX_SUBSET_BITS", "0")
+    monkeypatch.setattr(orbitalg, "enumerate_levi_dominant", no_enumeration)
+    gd = grading_data(a2, classify_orbits(a2)[0])
+    with pytest.raises(SubsetCapExceededError, match="spanning set on orbit 0 of A2: .*2\\^3"):
+        spanning_set(a2, gd, 10**12)
 
 
 def test_inconsistent_bounds_error(a1):

@@ -1,0 +1,56 @@
+"""Byte-identity guard: `kcone` stdout against the benchmark's recorded digests.
+
+perfbench/digests.json holds the sha256 of the stdout of each `kcone` call
+the benchmark makes; any change to a certified stratum or to the JSON shows
+up here as a mismatch.
+"""
+
+import contextlib
+import hashlib
+import io
+import json
+from pathlib import Path
+
+import pytest
+
+from kcone import cli
+
+DIGESTS = json.loads(
+    (Path(__file__).resolve().parent.parent / "perfbench" / "digests.json").read_text()
+)["cli_stdout"]
+
+PROBE_KEY = "acycle A1 --bound-sq 16 (trivial module)"
+# the module of the benchmark's acycle probe: [0,0] minus [1,1]
+PROBE_MODULE = [
+    {"coef": 1, "lambda_l": [0], "lambda_r": [0]},
+    {"coef": -1, "lambda_l": [1], "lambda_r": [1]},
+]
+BASIS_KEYS = [
+    "basis A2 --bound-sq 200",
+    "basis B2 --bound-sq 64",
+    "basis G2 --bound-sq 32",
+    "basis A1xA1xA1 --bound-sq 2",
+]
+
+
+def stdout_sha256(argv) -> str:
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        assert cli.main(argv) == 0
+    return hashlib.sha256(buf.getvalue().encode()).hexdigest()
+
+
+def test_digest_keys_are_covered():
+    assert sorted(DIGESTS) == sorted(BASIS_KEYS + [PROBE_KEY])
+
+
+@pytest.mark.parametrize("key", BASIS_KEYS)
+def test_basis_stdout_matches_digest(key):
+    assert stdout_sha256(key.split()) == DIGESTS[key]
+
+
+def test_acycle_probe_stdout_matches_digest(tmp_path):
+    path = tmp_path / "probe-module.json"
+    path.write_text(json.dumps({"standards": PROBE_MODULE}))
+    argv = ["acycle", "A1", "--bound-sq", "16", "--module", str(path)]
+    assert stdout_sha256(argv) == DIGESTS[PROBE_KEY]
