@@ -409,6 +409,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except OverflowError as exc:
         print(f"error: truncation window too large to enumerate: {exc}", file=sys.stderr)
         return EXIT_RESOURCE
+    except MemoryError:
+        print("error: out of memory; try a smaller bound", file=sys.stderr)
+        return EXIT_RESOURCE
     except (ValueError, KeyError, TypeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -128,13 +128,7 @@ def kclass_from_terms(
 
 
 def kclass_add(a: KClass, b: KClass) -> KClass:
-    acc = dict(a.coeffs)
-    for w, c in b.coeffs:
-        new = acc.get(w, 0) + c
-        if new:
-            acc[w] = new
-        else:
-            acc.pop(w, None)
+    acc = combine(1, a.as_dict(), -1, b.as_dict())
     rank = None if a.rank is None or b.rank is None else a.rank + b.rank
     return KClass(tuple(sorted(acc.items())), rank)
 

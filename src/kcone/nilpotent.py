@@ -65,9 +65,6 @@ class ClosurePoset:
     def leq(self, a: int, b: int) -> bool:
         return a == b or a in self.below[b]
 
-    def strictly_below(self, b: int) -> list[int]:
-        return sorted(self.below[b])
-
     def maximal(self, ids: Iterable[int]) -> list[int]:
         ids = sorted(set(ids))
         return [i for i in ids if not any(i in self.below[j] for j in ids if j != i)]

@@ -18,17 +18,18 @@ support fits inside the bound, and provisional ones, whose support leaks
 past it: single pushforwards rarely stay inside the window (their support
 drifts by root sums), but integer combinations cancelling the drift do,
 and the reduction finds exactly the sublattice of such combinations.
-Vectors already in the span of the boundary strata are discarded; the
-certified survivors are what downstream cycle computations consume, while
-provisional ones are genuine classes on the closure whose independence the
-truncated computation cannot certify.
+Orbits are processed in (dimension, id) order, which extends the closure
+order, and one echelon holds every vector kept so far: a vector already in
+the span of the earlier strata is discarded.  The certified survivors are
+what downstream cycle computations consume, while provisional ones are
+genuine classes on the closure whose independence the truncated
+computation cannot certify.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
 
 from .ktheory import KClass, _check_subset_cap, hnf_certified_split, pushforward
 from .linalg import IntEchelon
@@ -47,10 +48,6 @@ from .rootdata import (
     sqrt_upper,
     weight_norm_sq,
 )
-
-
-class InconsistentBoundError(ValueError):
-    """Boundary basis computed with a different bound than the current run."""
 
 
 @dataclass(frozen=True)
@@ -138,21 +135,28 @@ def spanning_set(rd: RootDatum, gd: GradingData, bound_sq) -> list[tuple[Weight,
 def orbital_basis(
     rd: RootDatum,
     orbit: NilpotentOrbit,
-    boundary_basis: Sequence[GeometricBasisVector],
+    echelon: IntEchelon,
     bound_sq,
 ) -> list[GeometricBasisVector]:
-    """Basis of the orbit's K-theory modulo classes on the closure boundary.
+    """Basis of the orbit's K-theory modulo the classes already in echelon.
 
-    boundary_basis must contain the vectors of every orbit strictly below in
-    the closure order, computed at the same bound.
+    echelon must span the vectors of every orbit before this one in
+    (dimension, id) order, computed at the same bound; each returned vector
+    is added to it, and no other row is.
+
+    Working modulo the boundary only needs the strata strictly below the
+    orbit in the closure order; they all come earlier, since a boundary
+    orbit has smaller dimension.  Testing against every earlier stratum
+    keeps the same vectors whenever the strata that the strictly-below test
+    would produce are linearly independent together.  Whether a vector is
+    kept depends only on the span it is tested against, and by induction
+    over orbits and candidates: a vector that test rejects lies in its
+    smaller span, hence in this one; a vector it keeps lies outside the span
+    of all other kept vectors, in particular of the earlier ones.
+    express_in_geometric_basis needs that independence of the certified
+    vectors anyway; the shared echelon makes it hold by construction.
     """
     win = _windows(rd, bound_sq)
-    for v in boundary_basis:
-        if v.bound_sq != win.bound_sq:
-            raise InconsistentBoundError(
-                f"boundary vector on orbit {v.orbit_id} was computed at bound^2 "
-                f"{v.bound_sq}, current run uses {win.bound_sq}"
-            )
     gd = grading_data(rd, orbit)
     span = spanning_set(rd, gd, bound_sq)
     # drop exact duplicates up front; they contribute nothing to the lattice
@@ -165,16 +169,13 @@ def orbital_basis(
     split = hnf_certified_split(
         rd, [kc for _, kc in candidates], win.support_sq, win.bound_sq
     )
-    test = IntEchelon()
-    for v in boundary_basis:
-        test.add(v.kclass.as_row())
 
     vectors = []
     for tracked, certified in [(t, True) for t in split.certified] + [
         (t, False) for t in split.provisional
     ]:
-        if not test.add(tracked.kclass.as_row()):
-            continue  # already in boundary span plus earlier selections
+        if not echelon.add(tracked.kclass.as_row()):
+            continue  # already in the span of earlier vectors
         combination = tuple((candidates[t][0], n) for t, n in tracked.combination)
         rank = sum(n * candidates[t][1].rank for t, n in tracked.combination)
         kc = KClass(tracked.kclass.coeffs, rank)
@@ -200,11 +201,9 @@ def full_basis(rd: RootDatum, bound_sq) -> GeometricBasis:
     orbits = tuple(classify_orbits(rd))
     poset = closure_poset(rd, orbits)
     strata: dict[int, tuple[GeometricBasisVector, ...]] = {}
+    echelon = IntEchelon()
     for orbit in orbits:  # ordered by (dimension, id)
-        boundary = []
-        for z in poset.strictly_below(orbit.id):
-            boundary.extend(strata[z])
-        strata[orbit.id] = tuple(orbital_basis(rd, orbit, boundary, bound_sq))
+        strata[orbit.id] = tuple(orbital_basis(rd, orbit, echelon, bound_sq))
     return GeometricBasis(
         type_label=rd.type_label,
         bound_sq=win.bound_sq,

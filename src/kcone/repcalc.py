@@ -18,6 +18,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable, Mapping, Optional
 
+from .linalg import combine
 from .rootdata import (
     RootDatum,
     Weight,
@@ -46,20 +47,17 @@ class MultiplicityVector:
         return self.entries.get(tuple(hw), 0)
 
 
-def _levi_positive_roots(rd: RootDatum, levi: frozenset[int]) -> list[Weight]:
-    out = []
-    for root, coeffs in zip(rd.positive_roots, rd.positive_root_coeffs):
-        if all(i in levi for i, c in enumerate(coeffs) if c):
-            out.append(root)
-    return out
-
-
 def weyl_dim(rd: RootDatum, levi: Optional[Iterable[int]], hw) -> int:
     """Dimension of the Levi irreducible with highest weight hw.
 
     levi is a set of simple-root indices (None means the full group; the
     empty set is the torus, where every character has dimension 1).  hw must
     be dominant for the Levi: nonnegative pairing with each Levi coroot.
+
+    Computed in integers as prod (2 hw + 2 rho_l, alpha) / prod (2 rho_l, alpha)
+    over the Levi's positive roots alpha, where 2 rho_l is their sum.  With
+    gram = D * cartan^{-1}, the form pairs a weight lam in fundamental
+    coordinates with alpha = sum_k c_k alpha_k as sum_k c_k d_k lam_k.
     """
     levi_set = frozenset(range(rd.rank)) if levi is None else frozenset(levi)
     for i in levi_set:
@@ -67,22 +65,19 @@ def weyl_dim(rd: RootDatum, levi: Optional[Iterable[int]], hw) -> int:
             raise ValueError(f"Levi index {i} out of range for rank {rd.rank}")
         if hw[i] < 0:
             raise ValueError(f"weight {tuple(hw)} is not dominant for the Levi {sorted(levi_set)}")
-    roots = _levi_positive_roots(rd, levi_set)
-    if not roots:
-        return 1
-    rho_l = [Fraction(0)] * rd.rank
-    for root in roots:
-        for k, x in enumerate(root):
-            rho_l[k] += Fraction(x, 2)
-    shifted = [rho_l[k] + hw[k] for k in range(rd.rank)]
-    num = Fraction(1)
-    den = Fraction(1)
-    for root in roots:
-        num *= weight_form(rd, shifted, root)
-        den *= weight_form(rd, rho_l, root)
-    dim = num / den
-    assert dim.denominator == 1 and dim > 0, f"Weyl dimension {dim} is not a positive integer"
-    return int(dim)
+    roots = [
+        (root, [c * d for c, d in zip(coeffs, rd.symmetrizer)])
+        for root, coeffs in zip(rd.positive_roots, rd.positive_root_coeffs)
+        if all(i in levi_set for i, c in enumerate(coeffs) if c)
+    ]
+    two_rho = [sum(col) for col in zip(*(root for root, _ in roots))]
+    num = den = 1
+    for _, cd in roots:
+        num *= sum(x * (2 * h + r) for x, h, r in zip(cd, hw, two_rho))
+        den *= sum(x * r for x, r in zip(cd, two_rho))
+    dim, rest = divmod(num, den)
+    assert rest == 0 and dim > 0, f"Weyl dimension {num}/{den} is not a positive integer"
+    return dim
 
 
 def _in_positive_root_lattice(rd: RootDatum, w: Weight) -> bool:
@@ -186,10 +181,5 @@ def restrict_kclass(rd: RootDatum, kclass, level) -> dict[Weight, int]:
     level = Fraction(level)
     out: dict[Weight, int] = {}
     for gamma, coef in kclass.coeffs:
-        for hw, m in restrict_gamma_class(rd, gamma, level).entries.items():
-            new = out.get(hw, 0) + coef * m
-            if new:
-                out[hw] = new
-            else:
-                out.pop(hw, None)
+        out = combine(1, out, -coef, restrict_gamma_class(rd, gamma, level).entries)
     return out

@@ -111,6 +111,32 @@ def solve_fractions(columns, target):
     return [aug[pivot_row_of_col[c]][ncols] for c in range(ncols)]
 
 
+def weyl_dim_fractions(rd, levi, hw) -> Fraction:
+    """Weyl dimension formula with Fraction rho_l and the library's weight_form.
+
+    levi is a set of simple-root indices; returns the Fraction quotient
+    prod <hw + rho_l, alpha> / prod <rho_l, alpha> over the Levi's positive
+    roots.
+    """
+    from kcone import weight_form
+
+    roots = [
+        root
+        for root, coeffs in zip(rd.positive_roots, rd.positive_root_coeffs)
+        if all(i in levi for i, c in enumerate(coeffs) if c)
+    ]
+    rho_l = [Fraction(0)] * rd.rank
+    for root in roots:
+        for k, x in enumerate(root):
+            rho_l[k] += Fraction(x, 2)
+    shifted = [rho_l[k] + hw[k] for k in range(rd.rank)]
+    num = den = Fraction(1)
+    for root in roots:
+        num *= weight_form(rd, shifted, root)
+        den *= weight_form(rd, rho_l, root)
+    return num / den
+
+
 def cartan_inverse_fractions(cartan) -> list[list[Fraction]]:
     """Inverse of a nonsingular integer matrix, column by column."""
     rank = len(cartan)
@@ -402,7 +428,7 @@ def dense_strata(rd, bound_sq):
             rd, [kc for _, kc in candidates], win.support_sq, win.bound_sq
         )
         test = DenseIntEchelon()
-        for z in poset.strictly_below(orbit.id):
+        for z in sorted(poset.below[orbit.id]):
             for coeffs, *_ in strata[z]:
                 test.add(flatten_kclass(KClass(coeffs), index))
         out = []

@@ -4,6 +4,7 @@ import sys
 
 import pytest
 
+from kcone import orbitalg
 from kcone.cli import main
 
 
@@ -182,6 +183,17 @@ def test_basis_huge_bound_exits_3(capsys):
     assert code == 3
     assert out == ""
     assert err.startswith("error: truncation window too large")
+
+
+def test_basis_out_of_memory_exits_3(capsys, monkeypatch):
+    def exhausted(*args):
+        raise MemoryError
+
+    monkeypatch.setattr(orbitalg, "enumerate_levi_dominant", exhausted)
+    code, out, err = run_cli(capsys, "basis", "A1", "--bound-sq", "1e30")
+    assert code == 3
+    assert out == ""
+    assert err.startswith("error: out of memory")
 
 
 def test_parallelism_is_accepted_and_must_be_nonnegative(capsys):

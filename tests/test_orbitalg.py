@@ -3,7 +3,6 @@ from fractions import Fraction
 import pytest
 
 from kcone import (
-    InconsistentBoundError,
     SubsetCapExceededError,
     build_root_datum,
     classify_orbits,
@@ -169,11 +168,37 @@ def test_spanning_set_checks_subset_cap_before_enumerating(monkeypatch, a2):
         spanning_set(a2, gd, 10**12)
 
 
-def test_inconsistent_bounds_error(a1):
-    orbits = classify_orbits(a1)
-    zero_stratum = orbital_basis(a1, orbits[0], [], 16)
-    with pytest.raises(InconsistentBoundError):
-        orbital_basis(a1, orbits[1], zero_stratum, 25)
+def test_orbital_basis_grows_echelon_by_returned_vectors(a2):
+    ech = IntEchelon()
+    for orbit in classify_orbits(a2):
+        before = len(ech)
+        vectors = orbital_basis(a2, orbit, ech, 18)
+        assert len(ech) == before + len(vectors)
+        # every returned class now lies in the span
+        assert not any(ech.add(v.kclass.as_row()) for v in vectors)
+        # a second pass over the same orbit finds nothing new
+        assert orbital_basis(a2, orbit, ech, 18) == []
+        assert len(ech) == before + len(vectors)
+
+
+def test_full_basis_adds_each_hermite_output_once(monkeypatch, b2):
+    added, offered = [], []
+    real_add, real_split = IntEchelon.add, orbitalg.hnf_certified_split
+
+    def counting_add(self, row):
+        added.append(row)
+        return real_add(self, row)
+
+    def counting_split(*args):
+        split = real_split(*args)
+        offered.append(len(split.certified) + len(split.provisional))
+        return split
+
+    monkeypatch.setattr(IntEchelon, "add", counting_add)
+    monkeypatch.setattr(orbitalg, "hnf_certified_split", counting_split)
+    basis = full_basis(b2, 16)
+    assert len(added) == sum(offered)
+    assert sum(offered) > len(basis.all_vectors())  # some outputs were rejected
 
 
 def test_zero_bound_basis(a1, a2):

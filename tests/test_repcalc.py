@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from kcone import (
@@ -11,7 +13,7 @@ from kcone import (
     weyl_dim,
 )
 
-from helpers import character_by_division, rational_rank, weyl_orbit
+from helpers import character_by_division, rational_rank, weyl_dim_fractions, weyl_orbit
 
 
 def test_weyl_dim_a1(a1):
@@ -47,6 +49,21 @@ def test_weyl_dim_errors(a2):
         weyl_dim(a2, [1], (5, -1))
     with pytest.raises(ValueError):
         weyl_dim(a2, [7], (0, 0))
+
+
+@pytest.mark.parametrize(
+    "label", ["A1", "A2", "A3", "B2", "B3", "C3", "D4", "G2", "F4", "E6", "A1xA1"]
+)
+def test_weyl_dim_matches_fraction_reference(label):
+    rd = build_root_datum(label)
+    rng = random.Random(label)
+    for mask in range(2**rd.rank):
+        levi = [i for i in range(rd.rank) if mask >> i & 1]
+        for _ in range(5):
+            hw = tuple(
+                rng.randint(0, 6) if i in levi else rng.randint(-6, 6) for i in range(rd.rank)
+            )
+            assert weyl_dim(rd, levi, hw) == weyl_dim_fractions(rd, levi, hw), (levi, hw)
 
 
 def test_weight_multiplicity_a1(a1):

@@ -1,8 +1,9 @@
-"""Byte-identity guard: `kcone` stdout against the benchmark's recorded digests.
+"""Byte-identity guard: kcone outputs against the benchmark's recorded digests.
 
 perfbench/digests.json holds the sha256 of the stdout of each `kcone` call
-the benchmark makes; any change to a certified stratum or to the JSON shows
-up here as a mismatch.
+the benchmark makes, and of the basis its acycle-batch workload builds with
+full_basis; any change to a stratum or to the JSON shows up here as a
+mismatch.
 """
 
 import contextlib
@@ -15,9 +16,10 @@ import pytest
 
 from kcone import cli
 
-DIGESTS = json.loads(
+RECORDED = json.loads(
     (Path(__file__).resolve().parent.parent / "perfbench" / "digests.json").read_text()
-)["cli_stdout"]
+)
+DIGESTS = RECORDED["cli_stdout"]
 
 PROBE_KEY = "acycle A1 --bound-sq 16 (trivial module)"
 # the module of the benchmark's acycle probe: [0,0] minus [1,1]
@@ -54,3 +56,24 @@ def test_acycle_probe_stdout_matches_digest(tmp_path):
     path.write_text(json.dumps({"standards": PROBE_MODULE}))
     argv = ["acycle", "A1", "--bound-sq", "16", "--module", str(path)]
     assert stdout_sha256(argv) == DIGESTS[PROBE_KEY]
+
+
+def basis_digest(basis) -> str:
+    """sha256 of every vector of a GeometricBasis, as the benchmark records it."""
+    rows = [
+        [
+            v.orbit_id,
+            v.index,
+            v.certified,
+            v.rank,
+            [[list(w), c] for w, c in v.kclass.coeffs],
+            [[list(w), n] for w, n in v.combination],
+        ]
+        for v in basis.all_vectors()
+    ]
+    return hashlib.sha256(json.dumps(rows).encode()).hexdigest()
+
+
+def test_full_basis_matches_digest(basis_cache):
+    assert sorted(RECORDED["full_basis"]) == ["A2 50"]
+    assert basis_digest(basis_cache("A2", 50)) == RECORDED["full_basis"]["A2 50"]
