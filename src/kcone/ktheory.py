@@ -35,6 +35,8 @@ from .rootdata import (
     RootDatum,
     Weight,
     dominant_conjugate,
+    int_norm,
+    int_norm_bound,
     is_dominant,
     weight_add,
     weight_norm_sq,
@@ -114,14 +116,28 @@ class KClass:
 
 
 def kclass_from_terms(
-    rd: RootDatum, terms: Iterable[tuple[Sequence[int], int]], rank: Optional[int] = None
+    rd: RootDatum,
+    terms: Iterable[tuple[Sequence[int], int]],
+    rank: Optional[int] = None,
+    folded: Optional[dict[Weight, Weight]] = None,
 ) -> KClass:
-    """Build a KClass, folding every weight to its dominant conjugate."""
+    """Build a KClass, folding every weight to its dominant conjugate.
+
+    folded, when given, memoises the folding across calls: it maps weights
+    to their dominant conjugates and is filled as terms are folded.  A hit
+    returns what dominant_conjugate would, so the class does not depend on
+    what the memo holds.
+    """
+    if folded is None:
+        folded = {}
     acc: dict[Weight, int] = {}
     for w, c in terms:
         if c == 0:
             continue
-        dw = dominant_conjugate(rd, w)
+        w = tuple(w)
+        dw = folded.get(w)
+        if dw is None:
+            dw = folded[w] = dominant_conjugate(rd, w)
         acc[dw] = acc.get(dw, 0) + c
     items = tuple(sorted((w, c) for w, c in acc.items() if c))
     return KClass(items, rank)
@@ -150,14 +166,13 @@ def std_to_class(rd: RootDatum, lambda_l: Sequence[int], lambda_r: Sequence[int]
     return gamma_class(rd, weight_add(lambda_l, lambda_r))
 
 
-def _alternating_class(
+def _alternating_offsets(
     rd: RootDatum,
-    phi: Weight,
     subtract_roots: Sequence[Weight],
     add_roots: Sequence[Weight],
-    rank: int,
     context: str,
-) -> KClass:
+) -> dict[Weight, int]:
+    """Expansion of prod (1 - e^{-alpha}) prod (1 - e^{+beta}), shift -> coefficient."""
     _check_subset_cap(len(subtract_roots) + len(add_roots), context)
     # incremental products over (1 - e^{-alpha}) and (1 - e^{+beta}); merging
     # equal partial sums early keeps the term count far below 2^nroots
@@ -167,16 +182,37 @@ def _alternating_class(
             step = root if sign > 0 else tuple(-x for x in root)
             shifted = {weight_add(s, step): c for s, c in offsets.items()}
             offsets = combine(1, offsets, 1, shifted)
-    return kclass_from_terms(
-        rd, ((weight_add(phi, s), c) for s, c in offsets.items()), rank=rank
+    return offsets
+
+
+def pushforward_offsets(rd: RootDatum, gd: GradingData) -> dict[Weight, int]:
+    """The alternating product of the orbit's pushforward, as shift -> coefficient.
+
+    It depends only on the orbit, not on phi: build it once to push many
+    weights forward.  Raises SubsetCapExceededError before expanding it.
+    """
+    return _alternating_offsets(
+        rd,
+        gd.degree1_roots,
+        gd.levi_positive_roots,
+        context=f"pushforward on orbit {gd.orbit_id} of {rd.type_label}",
     )
 
 
-def pushforward(rd: RootDatum, gd: GradingData, phi: Sequence[int]) -> KClass:
+def pushforward(
+    rd: RootDatum,
+    gd: GradingData,
+    phi: Sequence[int],
+    offsets: Optional[dict[Weight, int]] = None,
+    folded: Optional[dict[Weight, Weight]] = None,
+) -> KClass:
     """Class of the Levi representation phi pushed along the orbit resolution.
 
     phi must be dominant for the Levi of the grading.  The rank equals the
-    Levi dimension of phi.
+    Levi dimension of phi.  A caller pushing many weights forward on one
+    orbit may pass offsets = pushforward_offsets(rd, gd) and a dict folded
+    that memoises dominant conjugates across calls; neither changes the
+    class.
     """
     phi = tuple(phi)
     if len(phi) != rd.rank:
@@ -187,14 +223,10 @@ def pushforward(rd: RootDatum, gd: GradingData, phi: Sequence[int]) -> KClass:
                 f"{phi} is not dominant for the Levi {list(gd.levi_simple)} of orbit {gd.orbit_id}"
             )
     rank = weyl_dim(rd, gd.levi_simple, phi)
-    return _alternating_class(
-        rd,
-        phi,
-        gd.degree1_roots,
-        gd.levi_positive_roots,
-        rank,
-        context=f"pushforward on orbit {gd.orbit_id} of {rd.type_label}",
-    )
+    if offsets is None:
+        offsets = pushforward_offsets(rd, gd)
+    terms = ((weight_add(phi, s), c) for s, c in offsets.items())
+    return kclass_from_terms(rd, terms, rank, folded)
 
 
 def skyscraper_class(rd: RootDatum, phi: Sequence[int]) -> KClass:
@@ -206,9 +238,10 @@ def skyscraper_class(rd: RootDatum, phi: Sequence[int]) -> KClass:
     if not is_dominant(phi):
         raise ValueError(f"skyscraper weight {phi} must be dominant")
     rank = weyl_dim(rd, None, phi)
-    return _alternating_class(
-        rd, phi, (), rd.positive_roots, rank, context=f"skyscraper on {rd.type_label}"
+    offsets = _alternating_offsets(
+        rd, (), rd.positive_roots, context=f"skyscraper on {rd.type_label}"
     )
+    return kclass_from_terms(rd, ((weight_add(phi, s), c) for s, c in offsets.items()), rank)
 
 
 # ---------------------------------------------------------------------------
@@ -266,19 +299,22 @@ def hnf_certified_split(
     pivot rows complete a basis of the full lattice and are returned as
     provisional.  Each output records the integer combination of input
     vectors that produced it.  Only unimodular row operations are used, so
-    tracked combinations reproduce the rows exactly.
+    tracked combinations reproduce the rows exactly.  Norms are the ints
+    int_norm(w), compared with int_norm_bound of each window: the same
+    tests and the same column order as with Fraction norms.
     """
     support_norm_sq = Fraction(support_norm_sq)
-    certify_norm_sq = Fraction(certify_norm_sq)
-    norm: dict[Weight, Fraction] = {}
+    support_bound = int_norm_bound(rd, support_norm_sq)
+    certify_bound = int_norm_bound(rd, certify_norm_sq)
+    norm: dict[Weight, int] = {}
     rows: list[_TrackedRow] = []
     for t, kc in enumerate(vectors):
         for w, _ in kc.coeffs:
             if w not in norm:
                 if len(w) != rd.rank or not is_dominant(w):
                     raise ValueError(f"class support {w} lies outside the dominant chamber")
-                norm[w] = weight_norm_sq(rd, w)
-                if norm[w] > support_norm_sq:
+                norm[w] = int_norm(rd, w)
+                if norm[w] > support_bound:
                     raise ValueError(
                         f"class support {w} lies outside the support window "
                         f"norm^2 <= {support_norm_sq}"
@@ -286,7 +322,7 @@ def hnf_certified_split(
         if not kc.is_zero():
             rows.append(_TrackedRow(kc.as_dict(), {t: 1}, t))
 
-    def key(w: Weight) -> tuple[Fraction, Weight]:
+    def key(w: Weight) -> tuple[int, Weight]:
         return norm[w], w
 
     done: dict[Weight, _TrackedRow] = {}
@@ -325,6 +361,6 @@ def hnf_certified_split(
 
     pivots = sorted(done, key=key)
     return HnfSplit(
-        tuple(build(c) for c in pivots if norm[c] <= certify_norm_sq),
-        tuple(build(c) for c in pivots if norm[c] > certify_norm_sq),
+        tuple(build(c) for c in pivots if norm[c] <= certify_bound),
+        tuple(build(c) for c in pivots if norm[c] > certify_bound),
     )

@@ -10,6 +10,8 @@ which needs unimodular steps, lives in ktheory.hnf_certified_split.
 
 from __future__ import annotations
 
+import bisect
+import heapq
 import math
 from typing import Hashable, Mapping, Optional, Sequence
 
@@ -39,26 +41,60 @@ class IntEchelon:
 
     Each stored row is zero at the pivots of the rows stored before it, and
     eliminating a pivot only touches keys above it, so reducing pivot by
-    pivot in increasing order leaves a row zero at every pivot.
+    pivot in increasing order leaves a row zero at every pivot.  _pivots
+    is kept sorted, and _by_pivot maps each pivot to its row.
     """
 
     def __init__(self) -> None:
         self._pivots: list = []
-        self._rows: list[Row] = []
+        self._by_pivot: dict[Hashable, Row] = {}
 
     def reduce(self, row: Mapping) -> Row:
         """Row minus a combination of the stored rows, up to a nonzero factor.
 
         The result is zero at every pivot, so it is empty exactly when row
         lies in the span.
+
+        Only the pivots the row carries are visited, smallest first, from a
+        heap that holds every pivot among the row's keys and gains each
+        pivot an elimination brings in.  An elimination at pivot p only
+        brings in keys above p, so the heap pops, in increasing order,
+        exactly the pivots at which the row is nonzero when a scan over all
+        stored pivots in increasing order would reach them; a popped pivot
+        the row no longer carries (cancelled, or pushed twice) is skipped,
+        as the scan would skip it.  Both routes perform the same
+        eliminations in the same order, so they return the same row.  Each
+        elimination is combine(a, row, b, base) done in place on the row,
+        so that the keys it brings in are seen in the same pass.
         """
         row = {k: x for k, x in row.items() if x}
-        for pivot, base in zip(self._pivots, self._rows):
+        by_pivot = self._by_pivot
+        heap = [k for k in row if k in by_pivot]
+        heapq.heapify(heap)
+        while heap:
+            pivot = heapq.heappop(heap)
             x = row.get(pivot)
-            if x:
-                p = base[pivot]
-                g = math.gcd(p, x)
-                row = _normalize_row(combine(p // g, row, x // g, base))
+            if not x:
+                continue
+            base = by_pivot[pivot]
+            p = base[pivot]
+            g = math.gcd(p, x)
+            a, b = p // g, x // g
+            if a != 1:
+                row = {k: a * v for k, v in row.items()}
+            for k, y in base.items():
+                v = row.get(k)
+                if v is None:
+                    row[k] = -b * y
+                    if k in by_pivot:
+                        heapq.heappush(heap, k)
+                else:
+                    v -= b * y
+                    if v:
+                        row[k] = v
+                    else:
+                        del row[k]
+            row = _normalize_row(row)
         return row
 
     def add(self, row: Mapping) -> bool:
@@ -68,15 +104,12 @@ class IntEchelon:
             return False
         red = _normalize_row(red)
         pivot = min(red)
-        pos = 0
-        while pos < len(self._pivots) and self._pivots[pos] < pivot:
-            pos += 1
-        self._pivots.insert(pos, pivot)
-        self._rows.insert(pos, red)
+        bisect.insort(self._pivots, pivot)
+        self._by_pivot[pivot] = red
         return True
 
     def __len__(self) -> int:
-        return len(self._rows)
+        return len(self._pivots)
 
 
 def solve(

@@ -9,7 +9,15 @@ second window is a check, not an axis: all linear algebra runs on sparse
 rows over the weights the classes actually carry.  Square roots are
 replaced by rational upper bounds, which only enlarges the windows and
 never affects soundness; certification of a basis vector is the exact
-rational test that its whole support has norm^2 <= N^2.
+test that its whole support has norm^2 <= N^2.
+
+One ball per window, integer norms: full_basis enumerates the span-window
+ball once, every orbit takes its Levi weights by filtering it on the Levi
+nodes, and every window test compares the integer norm
+rootdata.int_norm(w) with rootdata.int_norm_bound of the window, which is
+the same test as with Fraction norms.  Each orbit's pushforward product is
+expanded once, and dominant conjugates are memoised for the whole basis.
+No cache outlives a full_basis call.
 
 Per orbit, the pushforward spanning set (in (norm^2, lex) order of the
 Levi weight) generates an integer lattice of classes.  Hermite reduction
@@ -30,8 +38,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Optional, Sequence
 
-from .ktheory import KClass, _check_subset_cap, hnf_certified_split, pushforward
+from .ktheory import (
+    KClass,
+    _check_subset_cap,
+    hnf_certified_split,
+    pushforward,
+    pushforward_offsets,
+)
 from .linalg import IntEchelon
 from .nilpotent import (
     ClosurePoset,
@@ -45,6 +60,8 @@ from .rootdata import (
     RootDatum,
     Weight,
     enumerate_levi_dominant,
+    int_norm,
+    int_norm_bound,
     sqrt_upper,
     weight_norm_sq,
 )
@@ -117,19 +134,41 @@ def _windows(rd: RootDatum, bound_sq) -> _Windows:
     return _Windows(bound_sq, c, (b + c) ** 2, (b + 2 * c) ** 2)
 
 
-def spanning_set(rd: RootDatum, gd: GradingData, bound_sq) -> list[tuple[Weight, KClass]]:
-    """Pushforward classes for every Levi-dominant weight in the span window.
-
-    Ordered by (norm^2, lex) of the Levi weight.
-    """
-    win = _windows(rd, bound_sq)
-    # fail before enumerating the window, which can dwarf the cap check
+def _check_spanning_cap(rd: RootDatum, gd: GradingData) -> None:
     _check_subset_cap(
         len(gd.degree1_roots) + len(gd.levi_positive_roots),
         f"spanning set on orbit {gd.orbit_id} of {rd.type_label}",
     )
-    phis = enumerate_levi_dominant(rd, gd.levi_simple, win.span_sq)
-    return [(phi, pushforward(rd, gd, phi)) for phi in phis]
+
+
+def spanning_set(
+    rd: RootDatum,
+    gd: GradingData,
+    bound_sq,
+    ball: Optional[Sequence[Weight]] = None,
+    folded: Optional[dict[Weight, Weight]] = None,
+) -> list[tuple[Weight, KClass]]:
+    """Pushforward classes for every Levi-dominant weight in the span window.
+
+    Ordered by (norm^2, lex) of the Levi weight.  ball, when given, must be
+    enumerate_levi_dominant(rd, (), span window) for this bound: the whole
+    span-window ball.  Its weights that are nonnegative on the Levi nodes
+    are then, in order, the list the per-Levi enumeration returns: both
+    are the same set, and a subsequence of a list sorted by (norm^2, lex)
+    is sorted by it.  folded is a dominant-conjugate memo for pushforward.
+    """
+    win = _windows(rd, bound_sq)
+    # fail before enumerating the window, which can dwarf the cap check
+    _check_spanning_cap(rd, gd)
+    levi = gd.levi_simple
+    if ball is None:
+        phis = enumerate_levi_dominant(rd, levi, win.span_sq)
+    else:
+        phis = [w for w in ball if all(w[i] >= 0 for i in levi)]
+    offsets = pushforward_offsets(rd, gd)
+    if folded is None:
+        folded = {}
+    return [(phi, pushforward(rd, gd, phi, offsets, folded)) for phi in phis]
 
 
 def orbital_basis(
@@ -137,12 +176,15 @@ def orbital_basis(
     orbit: NilpotentOrbit,
     echelon: IntEchelon,
     bound_sq,
+    ball: Optional[Sequence[Weight]] = None,
+    folded: Optional[dict[Weight, Weight]] = None,
 ) -> list[GeometricBasisVector]:
     """Basis of the orbit's K-theory modulo the classes already in echelon.
 
     echelon must span the vectors of every orbit before this one in
     (dimension, id) order, computed at the same bound; each returned vector
-    is added to it, and no other row is.
+    is added to it, and no other row is.  ball and folded are passed to
+    spanning_set.
 
     Working modulo the boundary only needs the strata strictly below the
     orbit in the closure order; they all come earlier, since a boundary
@@ -157,8 +199,9 @@ def orbital_basis(
     vectors anyway; the shared echelon makes it hold by construction.
     """
     win = _windows(rd, bound_sq)
+    certify_bound = int_norm_bound(rd, win.bound_sq)
     gd = grading_data(rd, orbit)
-    span = spanning_set(rd, gd, bound_sq)
+    span = spanning_set(rd, gd, bound_sq, ball, folded)
     # drop exact duplicates up front; they contribute nothing to the lattice
     seen: set[KClass] = set()
     candidates: list[tuple[Weight, KClass]] = []
@@ -180,7 +223,7 @@ def orbital_basis(
         rank = sum(n * candidates[t][1].rank for t, n in tracked.combination)
         kc = KClass(tracked.kclass.coeffs, rank)
         if certified:
-            assert kc.max_support_norm_sq(rd) <= win.bound_sq
+            assert all(int_norm(rd, w) <= certify_bound for w, _ in kc.coeffs)
         vectors.append(
             GeometricBasisVector(
                 orbit_id=orbit.id,
@@ -196,14 +239,23 @@ def orbital_basis(
 
 
 def full_basis(rd: RootDatum, bound_sq) -> GeometricBasis:
-    """Geometric basis for every orbit, by induction over the closure order."""
+    """Geometric basis for every orbit, by induction over the closure order.
+
+    Every orbit's subset cap is checked before the span-window ball is
+    enumerated; the ball and the fold memo are then shared by all orbits
+    and dropped with this call.
+    """
     win = _windows(rd, bound_sq)
     orbits = tuple(classify_orbits(rd))
     poset = closure_poset(rd, orbits)
+    for orbit in orbits:  # every cap check before the ball is enumerated
+        _check_spanning_cap(rd, grading_data(rd, orbit))
+    ball = enumerate_levi_dominant(rd, (), win.span_sq)
+    folded: dict[Weight, Weight] = {}
     strata: dict[int, tuple[GeometricBasisVector, ...]] = {}
     echelon = IntEchelon()
     for orbit in orbits:  # ordered by (dimension, id)
-        strata[orbit.id] = tuple(orbital_basis(rd, orbit, echelon, bound_sq))
+        strata[orbit.id] = tuple(orbital_basis(rd, orbit, echelon, bound_sq, ball, folded))
     return GeometricBasis(
         type_label=rd.type_label,
         bound_sq=win.bound_sq,

@@ -7,7 +7,11 @@ of the Cartan matrix.  All arithmetic is exact (ints and Fractions); no
 floating point enters anywhere.
 
 The invariant bilinear form is normalized so that short roots have squared
-length 2 in every simple factor.
+length 2 in every simple factor.  Scaled by the lcm L of its denominators
+it becomes an integer form, int_norm(w) = L * <w, w>.  Since L > 0 and
+int_norm(w) is an int, <w, w> <= X exactly when int_norm(w) <= floor(L * X),
+and sorting by (int_norm, w) is sorting by (norm^2, w): every window test
+and every (norm^2, lex) order can run on ints.
 """
 
 from __future__ import annotations
@@ -18,7 +22,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterable, Sequence, Union
+from typing import Iterable, Sequence
 
 from .linalg import solve
 
@@ -50,10 +54,6 @@ def weight_sub(a: Sequence[int], b: Sequence[int]) -> Weight:
     return tuple(x - y for x, y in zip(a, b))
 
 
-def weight_neg(a: Sequence[int]) -> Weight:
-    return tuple(-x for x in a)
-
-
 def is_dominant(w: Sequence[int]) -> bool:
     return all(x >= 0 for x in w)
 
@@ -71,7 +71,8 @@ class RootDatum:
     ``positive_root_coeffs[k]`` expands ``positive_roots[k]`` over the
     simple roots.  ``gram`` is the matrix of the invariant form on the
     weight lattice (entries are Fractions), normalized so short roots have
-    squared length 2.
+    squared length 2; ``int_gram`` is ``norm_scale * gram``, with
+    ``norm_scale`` the lcm of the denominators of ``gram``.
     """
 
     type_label: str
@@ -82,6 +83,8 @@ class RootDatum:
     positive_root_coeffs: tuple[tuple[int, ...], ...]
     simple_root_indices: tuple[int, ...]
     gram: tuple[tuple[Fraction, ...], ...]
+    norm_scale: int
+    int_gram: tuple[tuple[int, ...], ...]
 
     @property
     def dim_g(self) -> int:
@@ -269,6 +272,7 @@ def build_root_datum(type_label: str) -> RootDatum:
         for j in range(rank):
             if gram[i][j] != gram[j][i]:
                 raise RuntimeError("invariant form is not symmetric; bad Cartan data")
+    scale = math.lcm(*(x.denominator for row in gram for x in row))
 
     return RootDatum(
         type_label=type_label,
@@ -279,6 +283,8 @@ def build_root_datum(type_label: str) -> RootDatum:
         positive_root_coeffs=coeffs,
         simple_root_indices=tuple(range(rank)),
         gram=gram,
+        norm_scale=scale,
+        int_gram=tuple(tuple(int(x * scale) for x in row) for row in gram),
     )
 
 
@@ -291,12 +297,6 @@ def _cartan_inverse(rd: RootDatum) -> tuple[tuple[Fraction, ...], ...]:
 
 # ---------------------------------------------------------------------------
 # Weyl chamber operations
-
-
-def simple_reflection(rd: RootDatum, i: int, w: Sequence[int]) -> Weight:
-    """Reflection in the i-th simple root: s_i(w) = w - w_i * alpha_i."""
-    wi = w[i]
-    return tuple(w[k] - wi * rd.cartan[k][i] for k in range(rd.rank))
 
 
 def dominant_conjugate(rd: RootDatum, w: Sequence[int]) -> Weight:
@@ -326,27 +326,16 @@ def weight_norm_sq(rd: RootDatum, w: Sequence) -> Fraction:
     return weight_form(rd, w, w)
 
 
-def subset_root_sum(
-    roots: Sequence[Weight], subset: Union[int, Iterable[int]], rank: int | None = None
-) -> Weight:
-    """Sum of the selected roots; subset is an index iterable or a bitmask."""
-    if isinstance(subset, int):
-        if subset < 0 or subset >> len(roots):
-            raise IndexError(f"bitmask {subset:#x} addresses roots beyond index {len(roots) - 1}")
-        indices = [i for i in range(len(roots)) if subset >> i & 1]
-    else:
-        indices = list(subset)
-        for i in indices:
-            if not 0 <= i < len(roots):
-                raise IndexError(f"root index {i} out of range for {len(roots)} roots")
-    if roots:
-        rank = len(roots[0])
-    elif rank is None:
-        raise ValueError("cannot infer rank for an empty root list; pass rank=")
-    total = zero_weight(rank)
-    for i in indices:
-        total = weight_add(total, roots[i])
-    return total
+def int_norm(rd: RootDatum, w: Sequence[int]) -> int:
+    """norm_scale * <w, w> for an integer weight, as an int."""
+    g = rd.int_gram
+    return sum(x * sum(g[i][j] * w[j] for j in range(rd.rank)) for i, x in enumerate(w) if x)
+
+
+def int_norm_bound(rd: RootDatum, max_norm_sq) -> int:
+    """floor(norm_scale * max_norm_sq): int_norm(rd, w) <= it iff <w, w> <= max_norm_sq."""
+    x = Fraction(max_norm_sq)
+    return x.numerator * rd.norm_scale // x.denominator
 
 
 # ---------------------------------------------------------------------------
@@ -366,6 +355,11 @@ def sqrt_upper(x: Fraction, scale: int = 10**6) -> Fraction:
     return Fraction(k, scale)
 
 
+#: Largest coordinate box enumerate_levi_dominant walks: ten times the full
+#: ball of D4 at bound 1, the largest window the tests and benchmark use.
+MAX_WINDOW_POINTS = 10**8
+
+
 def _coordinate_box(rd: RootDatum, max_norm_sq: Fraction) -> list[int]:
     # max of w_i^2 over the ball <w,w> <= R^2 is R^2 * (gram^{-1})_{ii} = R^2 * 2/d_i
     return [math.isqrt(int(Fraction(max_norm_sq) * 2 / d)) for d in rd.symmetrizer]
@@ -377,7 +371,18 @@ def enumerate_levi_dominant(
     """Integer weights with norm^2 <= max_norm_sq, nonnegative on the Levi nodes.
 
     Sorted by (norm^2, lexicographic coordinates); the canonical enumeration
-    order used everywhere for determinism.
+    order used everywhere for determinism.  Raises OverflowError, before
+    visiting any point, when the coordinate box holds more than
+    MAX_WINDOW_POINTS weights.
+
+    Exact in ints: int_norm(w) = norm_scale * <w, w> is compared with
+    floor(norm_scale * max_norm_sq) and sorted on, which selects and orders
+    the same weights as the Fraction norm (see the module docstring).  The
+    first rank - 1 coordinates run over the box; for each such head, the
+    norm as a function of the last coordinate x is a + b x + c x^2 with
+    c > 0, and a + b x + c x^2 <= M is (2 c x + b)^2 <= b^2 - 4 c (a - M) =: D,
+    which for an integer x is |2 c x + b| <= isqrt(D).  So the valid x form
+    one interval, found without testing any point outside the ball.
     """
     max_norm_sq = Fraction(max_norm_sq)
     if max_norm_sq < 0:
@@ -388,11 +393,29 @@ def enumerate_levi_dominant(
         range(0, box[i] + 1) if i in nonneg else range(-box[i], box[i] + 1)
         for i in range(rd.rank)
     ]
+    points = math.prod(r.stop - r.start for r in ranges)
+    if points > MAX_WINDOW_POINTS:
+        raise OverflowError(
+            f"its coordinate box holds about 10^{math.log10(points):.0f} weights, "
+            f"over the limit of {MAX_WINDOW_POINTS}"
+        )
+    bound = int_norm_bound(rd, max_norm_sq)
+    g = rd.int_gram
+    last = rd.rank - 1
+    c = g[last][last]
     out = []
-    for w in itertools.product(*ranges):
-        ns = weight_norm_sq(rd, w)
-        if ns <= max_norm_sq:
-            out.append((ns, w))
+    for head in itertools.product(*ranges[:last]):
+        a = sum(x * sum(g[i][j] * head[j] for j in range(last)) for i, x in enumerate(head))
+        b = 2 * sum(g[last][j] * head[j] for j in range(last))
+        disc = b * b - 4 * c * (a - bound)
+        if disc < 0:
+            continue
+        s = math.isqrt(disc)
+        lo = -((b + s) // (2 * c))
+        if last in nonneg:
+            lo = max(lo, 0)
+        for x in range(lo, (s - b) // (2 * c) + 1):
+            out.append((a + (b + c * x) * x, head + (x,)))
     out.sort()
     return [w for _, w in out]
 

@@ -75,6 +75,94 @@ def apply_weyl(m: Matrix, w) -> tuple[int, ...]:
 
 
 # ---------------------------------------------------------------------------
+# references for the integer window kernels
+
+
+def enumerate_levi_dominant_fractions(rd, levi, max_norm_sq):
+    """Weights with Fraction norm^2 <= max_norm_sq, nonnegative on levi.
+
+    Walks the whole coordinate box and sorts by (Fraction norm^2, lex).
+    """
+    from kcone import weight_norm_sq
+    from kcone.rootdata import _coordinate_box
+
+    max_norm_sq = Fraction(max_norm_sq)
+    if max_norm_sq < 0:
+        return []
+    nonneg = set(levi)
+    box = _coordinate_box(rd, max_norm_sq)
+    ranges = [
+        range(0, box[i] + 1) if i in nonneg else range(-box[i], box[i] + 1)
+        for i in range(rd.rank)
+    ]
+    out = []
+    for w in itertools.product(*ranges):
+        ns = weight_norm_sq(rd, w)
+        if ns <= max_norm_sq:
+            out.append((ns, w))
+    out.sort()
+    return [w for _, w in out]
+
+
+def pushforward_reference(rd, gd, phi):
+    """pushforward by the per-phi route: the offset product rebuilt for phi,
+    every term folded by dominant_conjugate without a memo."""
+    from kcone import KClass, dominant_conjugate, weyl_dim
+
+    offsets = {(0,) * rd.rank: 1}
+    for sign, roots in ((-1, gd.degree1_roots), (1, gd.levi_positive_roots)):
+        for root in roots:
+            shifted = {}
+            for s, c in offsets.items():
+                key = tuple(x + sign * a for x, a in zip(s, root))
+                shifted[key] = shifted.get(key, 0) - c
+            for key, c in shifted.items():
+                offsets[key] = offsets.get(key, 0) + c
+            offsets = {s: c for s, c in offsets.items() if c}
+    acc = {}
+    for s, c in offsets.items():
+        dw = dominant_conjugate(rd, tuple(p + x for p, x in zip(phi, s)))
+        acc[dw] = acc.get(dw, 0) + c
+    coeffs = tuple(sorted((w, c) for w, c in acc.items() if c))
+    return KClass(coeffs, weyl_dim(rd, gd.levi_simple, phi))
+
+
+class ScanIntEchelon:
+    """kcone.linalg.IntEchelon with a reduce that scans every stored pivot."""
+
+    def __init__(self) -> None:
+        self._pivots = []
+        self._rows = []
+
+    def reduce(self, row):
+        from kcone.linalg import _normalize_row, combine
+
+        row = {k: x for k, x in row.items() if x}
+        for pivot, base in zip(self._pivots, self._rows):
+            x = row.get(pivot)
+            if x:
+                p = base[pivot]
+                g = math.gcd(p, x)
+                row = _normalize_row(combine(p // g, row, x // g, base))
+        return row
+
+    def add(self, row) -> bool:
+        from kcone.linalg import _normalize_row
+
+        red = self.reduce(row)
+        if not red:
+            return False
+        red = _normalize_row(red)
+        pivot = min(red)
+        pos = 0
+        while pos < len(self._pivots) and self._pivots[pos] < pivot:
+            pos += 1
+        self._pivots.insert(pos, pivot)
+        self._rows.insert(pos, red)
+        return True
+
+
+# ---------------------------------------------------------------------------
 # characters via Weyl numerator division
 
 

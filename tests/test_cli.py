@@ -1,6 +1,8 @@
 import json
+import resource
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -183,6 +185,27 @@ def test_basis_huge_bound_exits_3(capsys):
     assert code == 3
     assert out == ""
     assert err.startswith("error: truncation window too large")
+
+
+def test_basis_huge_finite_bound_exits_3_before_enumerating():
+    # a finite window whose coordinate box is far over the limit; the address
+    # space cap turns an enumeration that starts anyway into a quick failure
+    def limit_memory():
+        resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+
+    t0 = time.perf_counter()
+    proc = subprocess.run(
+        [sys.executable, "-m", "kcone.cli", "basis", "A1", "--bound-sq", "1e30"],
+        capture_output=True,
+        text=True,
+        timeout=120,
+        preexec_fn=limit_memory,
+    )
+    assert proc.returncode == 3
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("error: truncation window too large to enumerate")
+    assert "over the limit" in proc.stderr
+    assert time.perf_counter() - t0 < 30
 
 
 def test_basis_out_of_memory_exits_3(capsys, monkeypatch):

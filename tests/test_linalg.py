@@ -15,7 +15,13 @@ from kcone import (
 from kcone.linalg import IntEchelon, solve
 from kcone.rootdata import _cartan_inverse
 
-from helpers import cartan_inverse_fractions, flatten_kclass, rational_rank, solve_fractions
+from helpers import (
+    ScanIntEchelon,
+    cartan_inverse_fractions,
+    flatten_kclass,
+    rational_rank,
+    solve_fractions,
+)
 
 
 def as_fractions(solved):
@@ -103,6 +109,47 @@ def test_int_echelon_matches_rational_rank():
             grows = rational_rank(rows[: i + 1]) > rational_rank(rows[:i])
             assert ech.add(sparse(row, keys, rng)) == grows
         assert len(ech) == rational_rank(rows)
+
+
+def seeded_rows(rng, keys, count):
+    """Sparse rows over keys; some are combinations of earlier rows."""
+    rows = []
+    for _ in range(count):
+        if len(rows) >= 2 and rng.random() < 0.3:
+            a, b = rng.sample(rows, 2)
+            row = {k: rng.randint(-3, 3) * a.get(k, 0) + rng.randint(-3, 3) * b.get(k, 0) for k in keys}
+        else:
+            row = {k: rng.randint(-5, 5) for k in rng.sample(keys, rng.randint(0, min(6, len(keys))))}
+        rows.append({k: x for k, x in row.items() if x})
+    return rows
+
+
+def assert_same_as_scan(rows):
+    heap, scan = IntEchelon(), ScanIntEchelon()
+    for row in rows:
+        assert heap.reduce(row) == scan.reduce(row)
+        assert heap.add(row) == scan.add(row)
+        assert heap._pivots == scan._pivots
+        assert [heap._by_pivot[p] for p in heap._pivots] == scan._rows
+
+
+def test_int_echelon_matches_linear_scan_on_weight_rows():
+    rng = random.Random(61)
+    for _ in range(60):
+        keys = random_weight_keys(rng, rng.randint(1, 14))
+        assert_same_as_scan(seeded_rows(rng, keys, rng.randint(1, 16)))
+
+
+def test_int_echelon_matches_linear_scan_on_solve_rows():
+    # the blocks solve builds: (0, w) class entries, (1, j) units, (2,) marker
+    rng = random.Random(62)
+    for _ in range(60):
+        weights = random_weight_keys(rng, rng.randint(1, 8))
+        columns = seeded_rows(rng, [(0, w) for w in weights], rng.randint(0, 8))
+        rows = [{**col, (1, j): 1} for j, col in enumerate(columns)]
+        target = seeded_rows(rng, [(0, w) for w in weights], 1)[0]
+        target[(2,)] = 1
+        assert_same_as_scan(rows + [target])
 
 
 def test_solve_examples():

@@ -7,6 +7,7 @@ from kcone import (
     build_root_datum,
     classify_orbits,
     enumerate_dominant,
+    enumerate_levi_dominant,
     full_basis,
     grading_data,
     kclass_add,
@@ -21,7 +22,7 @@ from kcone import orbitalg
 from kcone.ktheory import KClass
 from kcone.linalg import IntEchelon
 
-from helpers import flatten_kclass, rational_rank
+from helpers import flatten_kclass, pushforward_reference, rational_rank
 
 
 def test_norm_constant_values(a1, a2, b2):
@@ -166,6 +167,77 @@ def test_spanning_set_checks_subset_cap_before_enumerating(monkeypatch, a2):
     gd = grading_data(a2, classify_orbits(a2)[0])
     with pytest.raises(SubsetCapExceededError, match="spanning set on orbit 0 of A2: .*2\\^3"):
         spanning_set(a2, gd, 10**12)
+
+
+def counting_enumeration(monkeypatch):
+    calls = []
+    real = orbitalg.enumerate_levi_dominant
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(orbitalg, "enumerate_levi_dominant", counting)
+    return calls
+
+
+def test_full_basis_enumerates_one_ball_per_call(monkeypatch, a2):
+    calls = counting_enumeration(monkeypatch)
+    first = full_basis(a2, 18)
+    assert len(calls) == 1
+    assert calls[0][1] == () and calls[0][2] == first.span_window_sq
+    # nothing is cached across calls: a second basis enumerates again
+    assert full_basis(a2, 18).strata == first.strata
+    assert len(calls) == 2
+
+
+def test_full_basis_checks_every_cap_before_the_ball(monkeypatch, a2):
+    events = []
+    real_cap = orbitalg._check_subset_cap
+
+    def recording_cap(nroots, context):
+        events.append("cap")
+        return real_cap(nroots, context)
+
+    def recording_enumeration(*args):
+        events.append("ball")
+        return []
+
+    monkeypatch.setattr(orbitalg, "_check_subset_cap", recording_cap)
+    monkeypatch.setattr(orbitalg, "enumerate_levi_dominant", recording_enumeration)
+    full_basis(a2, 18)
+    n = len(classify_orbits(a2))
+    assert events[: n + 1] == ["cap"] * n + ["ball"]
+
+
+def test_full_basis_cap_fails_before_enumerating(monkeypatch, a2):
+    def no_enumeration(*args):
+        raise AssertionError("enumerated the span window before the cap check")
+
+    monkeypatch.setenv("KCONE_MAX_SUBSET_BITS", "0")
+    monkeypatch.setattr(orbitalg, "enumerate_levi_dominant", no_enumeration)
+    with pytest.raises(SubsetCapExceededError, match="spanning set on orbit 0 of A2"):
+        full_basis(a2, 10**12)
+
+
+@pytest.mark.parametrize(
+    "label,bound", [("A2", 8), ("B2", 4), ("G2", 2), ("A1xA1xA1", 1), ("C3", 0)]
+)
+def test_spanning_set_on_shared_ball_matches_reference(label, bound):
+    # one ball and one fold memo shared by every orbit, as full_basis uses
+    # them, against the per-Levi enumeration and the per-phi pushforward
+    # (on C3 every fifth phi, to keep the reference quick)
+    rd = build_root_datum(label)
+    span_sq = orbitalg._windows(rd, bound).span_sq
+    ball = enumerate_levi_dominant(rd, (), span_sq)
+    folded = {}
+    stride = 5 if label == "C3" else 1
+    for orbit in classify_orbits(rd):
+        gd = grading_data(rd, orbit)
+        span = spanning_set(rd, gd, bound, ball, folded)
+        assert [phi for phi, _ in span] == enumerate_levi_dominant(rd, gd.levi_simple, span_sq)
+        for phi, kc in span[::stride]:
+            assert kc == pushforward_reference(rd, gd, phi)
 
 
 def test_orbital_basis_grows_echelon_by_returned_vectors(a2):

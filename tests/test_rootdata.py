@@ -2,7 +2,7 @@ import itertools
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from kcone import (
@@ -11,13 +11,11 @@ from kcone import (
     dominant_conjugate,
     enumerate_dominant,
     enumerate_levi_dominant,
-    simple_reflection,
-    subset_root_sum,
     weight_norm_sq,
 )
-from kcone.rootdata import sqrt_upper
+from kcone.rootdata import MAX_WINDOW_POINTS, int_norm, int_norm_bound, sqrt_upper
 
-from helpers import brute_dominant, weyl_group, weyl_orbit
+from helpers import brute_dominant, enumerate_levi_dominant_fractions, weyl_group, weyl_orbit
 
 # dim g per label, for the positive-root count identity #roots = (dim-rank)/2
 DIMENSIONS = {
@@ -167,25 +165,6 @@ def test_weyl_group_orders():
         assert len(weyl_group(build_root_datum(label))) == order
 
 
-def test_subset_root_sum(a2):
-    simples = [a2.simple_root(0), a2.simple_root(1)]
-    assert subset_root_sum(simples, []) == (0, 0)
-    assert subset_root_sum(simples, [0, 1]) == (1, 1)
-    assert subset_root_sum(a2.positive_roots, range(3)) == (2, 2)  # sum of all = 2*rho
-    # bitmask form
-    assert subset_root_sum(a2.positive_roots, 0b111) == (2, 2)
-    assert subset_root_sum(a2.positive_roots, 0) == (0, 0)
-
-
-def test_subset_root_sum_errors(a2):
-    with pytest.raises(IndexError):
-        subset_root_sum(a2.positive_roots, [3])
-    with pytest.raises(IndexError):
-        subset_root_sum(a2.positive_roots, 0b1000)
-    with pytest.raises(ValueError):
-        subset_root_sum([], [])
-
-
 def test_enumerate_dominant_a1(a1):
     assert enumerate_dominant(a1, 16) == [(n,) for n in range(6)]
     assert enumerate_dominant(a1, 0) == [(0,)]
@@ -224,7 +203,41 @@ def test_sqrt_upper_bounds():
         assert (ub - Fraction(1, 10**5)) ** 2 < q or q == 0
 
 
-def test_simple_reflection_is_involution(a2):
-    for w in [(1, 2), (-3, 1), (0, 0)]:
-        for i in range(2):
-            assert simple_reflection(a2, i, simple_reflection(a2, i, w)) == w
+# bounds past which the Fraction reference gets slow, per type
+ENUMERATION_TYPES = {"A1": 60, "A2": 60, "B2": 60, "G2": 60, "A3": 12, "C3": 12, "A1xA1xA1": 12}
+
+
+@pytest.mark.parametrize("label", sorted(ENUMERATION_TYPES))
+@given(bound=st.fractions(min_value=0, max_value=12, max_denominator=12), scale=st.integers(1, 5))
+@example(bound=Fraction(0), scale=1)
+@example(bound=Fraction(33, 2), scale=1)
+@example(bound=Fraction(1, 3), scale=1)
+@settings(max_examples=12, deadline=None)
+def test_enumeration_matches_fraction_reference(label, bound, scale):
+    # every Levi subset; integer norms against the Fraction box walk
+    rd = build_root_datum(label)
+    bound = min(bound * scale, Fraction(ENUMERATION_TYPES[label]))
+    for k in range(rd.rank + 1):
+        for levi in itertools.combinations(range(rd.rank), k):
+            got = enumerate_levi_dominant(rd, levi, bound)
+            assert got == enumerate_levi_dominant_fractions(rd, levi, bound)
+
+
+@pytest.mark.parametrize("label", ["A1", "A2", "B2", "C3", "G2", "F4", "A1xA1xA1"])
+def test_int_norm_scales_the_form(label):
+    rd = build_root_datum(label)
+    assert all(x * rd.norm_scale == y for r, s in zip(rd.gram, rd.int_gram) for x, y in zip(r, s))
+    for w in itertools.islice(itertools.product(range(-2, 3), repeat=rd.rank), 200):
+        ns = weight_norm_sq(rd, w)
+        assert int_norm(rd, w) == ns * rd.norm_scale
+        for x in (ns, ns - Fraction(1, 7), ns + Fraction(1, 7)):
+            assert (int_norm(rd, w) <= int_norm_bound(rd, x)) == (ns <= x)
+
+
+def test_enumeration_refuses_a_box_over_the_limit(a1, b2):
+    # refused before any point is visited, so this returns at once
+    for rd in (a1, b2):
+        for levi in ((), range(rd.rank)):
+            with pytest.raises(OverflowError, match=f"over the limit of {MAX_WINDOW_POINTS}"):
+                enumerate_levi_dominant(rd, levi, 10**30)
+    assert enumerate_levi_dominant(a1, (), -1) == []
