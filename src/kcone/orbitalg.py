@@ -150,21 +150,22 @@ def spanning_set(
 ) -> list[tuple[Weight, KClass]]:
     """Pushforward classes for every Levi-dominant weight in the span window.
 
-    Ordered by (norm^2, lex) of the Levi weight.  ball, when given, must be
-    enumerate_levi_dominant(rd, (), span window) for this bound: the whole
-    span-window ball.  Its weights that are nonnegative on the Levi nodes
-    are then, in order, the list the per-Levi enumeration returns: both
-    are the same set, and a subsequence of a list sorted by (norm^2, lex)
-    is sorted by it.  folded is a dominant-conjugate memo for pushforward.
+    Ordered by (norm^2, lex) of the Levi weight.  The weights are those of
+    ball, the whole span-window ball enumerate_levi_dominant(rd, (), span
+    window) for this bound, that are nonnegative on the Levi nodes; ball is
+    enumerated here, after the subset-cap check, when none is given (a
+    caller passing ball checks the cap first, as full_basis does).  That
+    is, in order, the list enumerate_levi_dominant(rd, levi, span window)
+    returns: both are the same set, and a subsequence of a list sorted by
+    (norm^2, lex) is sorted by it.  folded is a dominant-conjugate memo for
+    pushforward.
     """
-    win = _windows(rd, bound_sq)
-    # fail before enumerating the window, which can dwarf the cap check
-    _check_spanning_cap(rd, gd)
-    levi = gd.levi_simple
     if ball is None:
-        phis = enumerate_levi_dominant(rd, levi, win.span_sq)
-    else:
-        phis = [w for w in ball if all(w[i] >= 0 for i in levi)]
+        # fail before enumerating the window, which can dwarf the cap check
+        _check_spanning_cap(rd, gd)
+        ball = enumerate_levi_dominant(rd, (), _windows(rd, bound_sq).span_sq)
+    levi = gd.levi_simple
+    phis = [w for w in ball if all(w[i] >= 0 for i in levi)]
     offsets = pushforward_offsets(rd, gd)
     if folded is None:
         folded = {}
@@ -178,13 +179,14 @@ def orbital_basis(
     bound_sq,
     ball: Optional[Sequence[Weight]] = None,
     folded: Optional[dict[Weight, Weight]] = None,
+    gd: Optional[GradingData] = None,
 ) -> list[GeometricBasisVector]:
     """Basis of the orbit's K-theory modulo the classes already in echelon.
 
     echelon must span the vectors of every orbit before this one in
     (dimension, id) order, computed at the same bound; each returned vector
     is added to it, and no other row is.  ball and folded are passed to
-    spanning_set.
+    spanning_set; gd, when given, is grading_data(rd, orbit).
 
     Working modulo the boundary only needs the strata strictly below the
     orbit in the closure order; they all come earlier, since a boundary
@@ -200,7 +202,8 @@ def orbital_basis(
     """
     win = _windows(rd, bound_sq)
     certify_bound = int_norm_bound(rd, win.bound_sq)
-    gd = grading_data(rd, orbit)
+    if gd is None:
+        gd = grading_data(rd, orbit)
     span = spanning_set(rd, gd, bound_sq, ball, folded)
     # drop exact duplicates up front; they contribute nothing to the lattice
     seen: set[KClass] = set()
@@ -248,14 +251,17 @@ def full_basis(rd: RootDatum, bound_sq) -> GeometricBasis:
     win = _windows(rd, bound_sq)
     orbits = tuple(classify_orbits(rd))
     poset = closure_poset(rd, orbits)
-    for orbit in orbits:  # every cap check before the ball is enumerated
-        _check_spanning_cap(rd, grading_data(rd, orbit))
+    gds = [grading_data(rd, orbit) for orbit in orbits]
+    for gd in gds:  # every cap check before the ball is enumerated
+        _check_spanning_cap(rd, gd)
     ball = enumerate_levi_dominant(rd, (), win.span_sq)
     folded: dict[Weight, Weight] = {}
     strata: dict[int, tuple[GeometricBasisVector, ...]] = {}
     echelon = IntEchelon()
-    for orbit in orbits:  # ordered by (dimension, id)
-        strata[orbit.id] = tuple(orbital_basis(rd, orbit, echelon, bound_sq, ball, folded))
+    for orbit, gd in zip(orbits, gds):  # ordered by (dimension, id)
+        strata[orbit.id] = tuple(
+            orbital_basis(rd, orbit, echelon, bound_sq, ball, folded, gd)
+        )
     return GeometricBasis(
         type_label=rd.type_label,
         bound_sq=win.bound_sq,

@@ -355,8 +355,10 @@ def sqrt_upper(x: Fraction, scale: int = 10**6) -> Fraction:
     return Fraction(k, scale)
 
 
-#: Largest coordinate box enumerate_levi_dominant walks: ten times the full
-#: ball of D4 at bound 1, the largest window the tests and benchmark use.
+#: Largest coordinate box enumerate_levi_dominant walks: at least ten times
+#: the 6.8M-point box of D4's span window at bound 1, the rank-4 case the
+#: roadmap targets.  It bounds the box, not the ball that is built: a
+#: window just under it can still hold tens of millions of weights.
 MAX_WINDOW_POINTS = 10**8
 
 
