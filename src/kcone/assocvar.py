@@ -21,7 +21,7 @@ from .ktheory import KClass, kclass_add, kclass_from_terms, kclass_scale, std_to
 from .linalg import solve
 from .nilpotent import ClosurePoset
 from .orbitalg import GeometricBasis, GeometricBasisVector
-from .rootdata import RootDatum, Weight, weight_norm_sq
+from .rootdata import RootDatum, Weight, int_norm, int_norm_bound, weight_norm_sq
 
 
 class BoundTooSmallError(ValueError):
@@ -67,8 +67,9 @@ def express_in_geometric_basis(
     Raises BoundTooSmallError if some support weight exceeds the basis bound
     or the class is not in the certified span within the truncation window.
     """
+    bound = int_norm_bound(rd, basis.bound_sq)
     for w, _ in kc.coeffs:
-        if weight_norm_sq(rd, w) > basis.bound_sq:
+        if int_norm(rd, w) > bound:
             raise BoundTooSmallError(
                 f"support weight {w} has norm^2 {weight_norm_sq(rd, w)} > bound^2 "
                 f"{basis.bound_sq}; recompute the basis with a larger bound"

@@ -80,10 +80,6 @@ def _weight_arg(raw: str) -> tuple[int, ...]:
         raise argparse.ArgumentTypeError(f"not a comma-separated integer vector: {raw!r}")
 
 
-def _fmt_fraction(x: Fraction) -> str:
-    return str(x)
-
-
 def _kclass_json(kc: KClass) -> dict:
     return {
         "coeffs": [{"weight": list(w), "coef": c} for w, c in kc.coeffs],
@@ -152,20 +148,20 @@ def _basis_payload(basis: GeometricBasis, orbit_filter: Optional[int]) -> dict:
         )
     return {
         "type": basis.type_label,
-        "bound_sq": _fmt_fraction(basis.bound_sq),
-        "norm_constant": _fmt_fraction(basis.norm_constant),
-        "span_window_sq": _fmt_fraction(basis.span_window_sq),
-        "support_window_sq": _fmt_fraction(basis.support_window_sq),
+        "bound_sq": str(basis.bound_sq),
+        "norm_constant": str(basis.norm_constant),
+        "span_window_sq": str(basis.span_window_sq),
+        "support_window_sq": str(basis.support_window_sq),
         "strata": strata,
     }
 
 
 def cmd_basis(cfg: RunConfig) -> int:
     rd = build_root_datum(cfg.type_label)
-    basis = full_basis(rd, cfg.bound_sq)
-    if cfg.orbit is not None and not any(o.id == cfg.orbit for o in basis.orbits):
+    if cfg.orbit is not None and not any(o.id == cfg.orbit for o in classify_orbits(rd)):
         print(f"error: no orbit with id {cfg.orbit} in {cfg.type_label}", file=sys.stderr)
         return EXIT_USAGE
+    basis = full_basis(rd, cfg.bound_sq)
     payload = _basis_payload(basis, cfg.orbit)
 
     def text_lines():

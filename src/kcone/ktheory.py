@@ -39,7 +39,6 @@ from .rootdata import (
     int_norm_bound,
     is_dominant,
     weight_add,
-    weight_norm_sq,
     zero_weight,
 )
 
@@ -108,11 +107,6 @@ class KClass:
 
     def support(self) -> tuple[Weight, ...]:
         return tuple(w for w, _ in self.coeffs)
-
-    def max_support_norm_sq(self, rd: RootDatum) -> Fraction:
-        if not self.coeffs:
-            return Fraction(0)
-        return max(weight_norm_sq(rd, w) for w, _ in self.coeffs)
 
 
 def kclass_from_terms(

@@ -6,9 +6,11 @@ recursion, and the truncated restriction of a torus-induced class to the
 maximal compact subgroup (which irreducibles appear, with what multiplicity,
 below a norm cutoff).
 
-Freudenthal's formula is evaluated over exact rationals, and every
-multiplicity is asserted to come out a positive integer, so a wrong
-invariant form or folding convention fails loudly rather than silently.
+Freudenthal's formula is evaluated in ints: its numerator and denominator
+are both pairings, so both are scaled by norm_scale (rootdata.int_pair),
+which leaves the quotient unchanged.  Every multiplicity is asserted to
+come out a positive integer, so a wrong invariant form or folding
+convention fails loudly rather than silently.
 """
 
 from __future__ import annotations
@@ -16,18 +18,18 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterable, Mapping, Optional
+from typing import Iterable, Mapping, Optional, Sequence
 
 from .linalg import combine
 from .rootdata import (
     RootDatum,
     Weight,
-    _cartan_inverse,
     dominant_conjugate,
     enumerate_dominant,
+    int_norm,
+    int_pair,
     is_dominant,
     weight_add,
-    weight_form,
     weight_norm_sq,
     weight_sub,
 )
@@ -55,9 +57,9 @@ def weyl_dim(rd: RootDatum, levi: Optional[Iterable[int]], hw) -> int:
     be dominant for the Levi: nonnegative pairing with each Levi coroot.
 
     Computed in integers as prod (2 hw + 2 rho_l, alpha) / prod (2 rho_l, alpha)
-    over the Levi's positive roots alpha, where 2 rho_l is their sum.  With
-    gram = D * cartan^{-1}, the form pairs a weight lam in fundamental
-    coordinates with alpha = sum_k c_k alpha_k as sum_k c_k d_k lam_k.
+    over the Levi's positive roots alpha, where 2 rho_l is their sum.  The
+    form D * cartan^{-1} pairs a weight lam in fundamental coordinates with
+    alpha = sum_k c_k alpha_k as sum_k c_k d_k lam_k.
     """
     levi_set = frozenset(range(rd.rank)) if levi is None else frozenset(levi)
     for i in levi_set:
@@ -80,22 +82,23 @@ def weyl_dim(rd: RootDatum, levi: Optional[Iterable[int]], hw) -> int:
     return dim
 
 
-def _in_positive_root_lattice(rd: RootDatum, w: Weight) -> bool:
-    cinv = _cartan_inverse(rd)
-    for i in range(rd.rank):
-        c = sum(cinv[i][j] * w[j] for j in range(rd.rank))
-        if c.denominator != 1 or c < 0:
-            return False
-    return True
+def _root_coefficients(rd: RootDatum, w: Sequence[int]) -> Optional[tuple[int, ...]]:
+    """Coefficients of w over the simple roots, or None when they are not all ints.
+
+    c_i = int_pair(e_i, w) / (norm_scale * d_i), e_i the i-th fundamental
+    weight (see the rootdata module docstring).
+    """
+    units = [tuple(int(i == j) for j in range(rd.rank)) for i in range(rd.rank)]
+    qr = [divmod(int_pair(rd, e, w), rd.norm_scale * d) for e, d in zip(units, rd.symmetrizer)]
+    return None if any(r for _, r in qr) else tuple(q for q, _ in qr)
 
 
-def _height(rd: RootDatum, w: Weight) -> int:
-    cinv = _cartan_inverse(rd)
-    h = Fraction(0)
-    for i in range(rd.rank):
-        h += sum(cinv[i][j] * w[j] for j in range(rd.rank))
-    assert h.denominator == 1
-    return int(h)
+def _depth(rd: RootDatum, hw: Weight, nu: Weight) -> Optional[int]:
+    """Height of hw - nu when it is a nonnegative root combination, else None."""
+    c = _root_coefficients(rd, weight_sub(hw, nu))
+    if c is None or min(c) < 0:
+        return None
+    return sum(c)
 
 
 @lru_cache(maxsize=None)
@@ -107,36 +110,34 @@ def _dominant_multiplicities(rd: RootDatum, hw: Weight) -> Mapping[Weight, int]:
     right-hand side only consults already-computed entries.
     """
     rho = rd.rho()
-    top = weight_form(rd, weight_add(hw, rho), weight_add(hw, rho))
-    candidates = [
-        nu
+    top = int_norm(rd, weight_add(hw, rho))
+    depths = {
+        nu: depth
         for nu in enumerate_dominant(rd, weight_norm_sq(rd, hw))
-        if _in_positive_root_lattice(rd, weight_sub(hw, nu))
-    ]
-    candidates.sort(key=lambda nu: (_height(rd, weight_sub(hw, nu)), nu))
+        if (depth := _depth(rd, hw, nu)) is not None
+    }
     root_heights = [sum(c) for c in rd.positive_root_coeffs]
     table: dict[Weight, int] = {}
-    for nu in candidates:
+    for nu in sorted(depths, key=lambda nu: (depths[nu], nu)):
         if nu == hw:
             table[nu] = 1
             continue
-        depth = _height(rd, weight_sub(hw, nu))
-        total = Fraction(0)
+        total = 0
         for root, rh in zip(rd.positive_roots, root_heights):
             k = 1
-            while k * rh <= depth:
+            while k * rh <= depths[nu]:
                 w = tuple(nu[t] + k * root[t] for t in range(rd.rank))
                 m = table.get(dominant_conjugate(rd, w))
                 if m:
-                    total += m * weight_form(rd, w, root)
+                    total += m * int_pair(rd, w, root)
                 k += 1
-        denom = top - weight_form(rd, weight_add(nu, rho), weight_add(nu, rho))
-        value = 2 * total / denom
-        assert value.denominator == 1 and value >= 1, (
-            f"Freudenthal produced non-integral or non-positive multiplicity {value} "
-            f"for weight {nu} in V({hw})"
+        denom = top - int_norm(rd, weight_add(nu, rho))
+        value, rest = divmod(2 * total, denom)
+        assert rest == 0 and value >= 1, (
+            f"Freudenthal produced non-integral or non-positive multiplicity "
+            f"{2 * total}/{denom} for weight {nu} in V({hw})"
         )
-        table[nu] = int(value)
+        table[nu] = value
     return table
 
 
@@ -149,7 +150,7 @@ def weight_multiplicity(rd: RootDatum, hw, mu) -> int:
     if not is_dominant(hw):
         raise ValueError(f"highest weight {hw} is not dominant")
     mu_dom = dominant_conjugate(rd, mu)
-    if not _in_positive_root_lattice(rd, weight_sub(hw, mu_dom)):
+    if _depth(rd, hw, mu_dom) is None:
         return 0
     return _dominant_multiplicities(rd, hw).get(mu_dom, 0)
 

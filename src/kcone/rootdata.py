@@ -2,16 +2,23 @@
 
 Everything lives in fundamental-weight coordinates of the simply connected
 group: a weight is a tuple of integers, the i-th entry being the pairing
-with the i-th simple coroot.  The j-th simple root is then the j-th column
-of the Cartan matrix.  All arithmetic is exact (ints and Fractions); no
-floating point enters anywhere.
+with the i-th simple coroot, so the fundamental weights e_i are the unit
+vectors and the j-th simple root a_j is the j-th column of the Cartan
+matrix C.  All arithmetic is exact and on ints, with no floating point;
+Fractions only derive int_gram and carry bounds in and values out.
 
-The invariant bilinear form is normalized so that short roots have squared
-length 2 in every simple factor.  Scaled by the lcm L of its denominators
-it becomes an integer form, int_norm(w) = L * <w, w>.  Since L > 0 and
-int_norm(w) is an int, <w, w> <= X exactly when int_norm(w) <= floor(L * X),
-and sorting by (int_norm, w) is sorting by (norm^2, w): every window test
-and every (norm^2, lex) order can run on ints.
+The invariant form, normalized so short roots have squared length 2 in
+every simple factor, is <e_i, e_j> = d_i (C^-1)_ij with d the symmetrizer.
+It is kept once, as int_gram = L * D C^-1 with L the lcm of its
+denominators, and int_pair(a, b) = L <a, b> is the one pairing everything
+is read from.  Two identities make that exact:
+- int_norm(w) = int_pair(w, w) = L <w, w> with L > 0, so <w, w> <= X
+  exactly when int_norm(w) <= floor(L * X), and sorting by (int_norm, w) is
+  sorting by (norm^2, w): every window test and order runs on ints, and
+  weight_form is int_pair / L.
+- w = sum_k c_k a_k means w = C c, so c_i = sum_j (C^-1)_ij w_j =
+  int_pair(e_i, w) / (L d_i): w lies in the root lattice exactly when every
+  L d_i divides int_pair(e_i, w), and the quotients are its coefficients.
 """
 
 from __future__ import annotations
@@ -69,10 +76,10 @@ class RootDatum:
     ``cartan[i][j]`` is the pairing of the j-th simple root with the i-th
     simple coroot, so column j is the j-th simple root as a weight.
     ``positive_root_coeffs[k]`` expands ``positive_roots[k]`` over the
-    simple roots.  ``gram`` is the matrix of the invariant form on the
-    weight lattice (entries are Fractions), normalized so short roots have
-    squared length 2; ``int_gram`` is ``norm_scale * gram``, with
-    ``norm_scale`` the lcm of the denominators of ``gram``.
+    simple roots.  ``int_gram`` is ``norm_scale`` times the matrix of the
+    invariant form on the weight lattice, normalized so short roots have
+    squared length 2, and ``norm_scale`` is the least positive integer
+    that makes every entry an int (see the module docstring).
     """
 
     type_label: str
@@ -82,7 +89,6 @@ class RootDatum:
     positive_roots: tuple[Weight, ...]
     positive_root_coeffs: tuple[tuple[int, ...], ...]
     simple_root_indices: tuple[int, ...]
-    gram: tuple[tuple[Fraction, ...], ...]
     norm_scale: int
     int_gram: tuple[tuple[int, ...], ...]
 
@@ -261,18 +267,18 @@ def build_root_datum(type_label: str) -> RootDatum:
     coeffs = tuple(rc[0] for rc in all_roots)
     coords = tuple(rc[1] for rc in all_roots)
 
-    # gram = D * cartan^{-1}; column j of the inverse solves cartan * x = e_j
+    # the form is D * cartan^{-1}; column j of the inverse solves cartan * x = e_j
     cols = [{i: cartan[i][j] for i in range(rank)} for j in range(rank)]
     inverse_cols = [solve(cols, {j: 1}) for j in range(rank)]
-    gram = tuple(
-        tuple(Fraction(symmetrizer[i] * nums[i], den) for nums, den in inverse_cols)
+    form = [
+        [Fraction(symmetrizer[i] * nums[i], den) for nums, den in inverse_cols]
         for i in range(rank)
-    )
+    ]
     for i in range(rank):
         for j in range(rank):
-            if gram[i][j] != gram[j][i]:
+            if form[i][j] != form[j][i]:
                 raise RuntimeError("invariant form is not symmetric; bad Cartan data")
-    scale = math.lcm(*(x.denominator for row in gram for x in row))
+    scale = math.lcm(*(x.denominator for row in form for x in row))
 
     return RootDatum(
         type_label=type_label,
@@ -282,16 +288,8 @@ def build_root_datum(type_label: str) -> RootDatum:
         positive_roots=coords,
         positive_root_coeffs=coeffs,
         simple_root_indices=tuple(range(rank)),
-        gram=gram,
         norm_scale=scale,
-        int_gram=tuple(tuple(int(x * scale) for x in row) for row in gram),
-    )
-
-
-@lru_cache(maxsize=None)
-def _cartan_inverse(rd: RootDatum) -> tuple[tuple[Fraction, ...], ...]:
-    return tuple(
-        tuple(x / d for x in row) for row, d in zip(rd.gram, rd.symmetrizer)
+        int_gram=tuple(tuple(int(x * scale) for x in row) for row in form),
     )
 
 
@@ -311,25 +309,25 @@ def dominant_conjugate(rd: RootDatum, w: Sequence[int]) -> Weight:
             return cur
 
 
-def weight_form(rd: RootDatum, a: Sequence, b: Sequence) -> Fraction:
-    """Invariant bilinear form <a, b>; accepts integer or Fraction entries."""
-    total = Fraction(0)
-    for i, ai in enumerate(a):
-        if ai:
-            row = rd.gram[i]
-            total += ai * sum(row[j] * b[j] for j in range(rd.rank) if b[j])
-    return total
-
-
-def weight_norm_sq(rd: RootDatum, w: Sequence) -> Fraction:
-    """Squared length of a weight (short roots have squared length 2)."""
-    return weight_form(rd, w, w)
+def int_pair(rd: RootDatum, a: Sequence[int], b: Sequence[int]) -> int:
+    """norm_scale * <a, b> for integer weights a and b."""
+    g = rd.int_gram
+    return sum(x * sum(gx * y for gx, y in zip(g[i], b)) for i, x in enumerate(a) if x)
 
 
 def int_norm(rd: RootDatum, w: Sequence[int]) -> int:
     """norm_scale * <w, w> for an integer weight, as an int."""
-    g = rd.int_gram
-    return sum(x * sum(g[i][j] * w[j] for j in range(rd.rank)) for i, x in enumerate(w) if x)
+    return int_pair(rd, w, w)
+
+
+def weight_form(rd: RootDatum, a: Sequence[int], b: Sequence[int]) -> Fraction:
+    """Invariant bilinear form <a, b> of two integer weights."""
+    return Fraction(int_pair(rd, a, b), rd.norm_scale)
+
+
+def weight_norm_sq(rd: RootDatum, w: Sequence[int]) -> Fraction:
+    """Squared length of a weight (short roots have squared length 2)."""
+    return weight_form(rd, w, w)
 
 
 def int_norm_bound(rd: RootDatum, max_norm_sq) -> int:
@@ -357,13 +355,17 @@ def sqrt_upper(x: Fraction, scale: int = 10**6) -> Fraction:
 
 #: Largest coordinate box enumerate_levi_dominant walks: at least ten times
 #: the 6.8M-point box of D4's span window at bound 1, the rank-4 case the
-#: roadmap targets.  It bounds the box, not the ball that is built: a
-#: window just under it can still hold tens of millions of weights.
+#: roadmap targets.  It bounds the walk; MAX_BALL_POINTS bounds the list.
 MAX_WINDOW_POINTS = 10**8
+
+#: Largest ball enumerate_levi_dominant builds: ten times the 1,025,257
+#: weights of D4's span-window ball at bound 1, about 1.9 GB at the 189 B a
+#: weight measured on the built list during its sort.
+MAX_BALL_POINTS = 10**7
 
 
 def _coordinate_box(rd: RootDatum, max_norm_sq: Fraction) -> list[int]:
-    # max of w_i^2 over the ball <w,w> <= R^2 is R^2 * (gram^{-1})_{ii} = R^2 * 2/d_i
+    # max of w_i^2 over the ball <w,w> <= R^2 is R^2 * (C D^-1)_ii = R^2 * 2/d_i
     return [math.isqrt(int(Fraction(max_norm_sq) * 2 / d)) for d in rd.symmetrizer]
 
 
@@ -375,7 +377,7 @@ def enumerate_levi_dominant(
     Sorted by (norm^2, lexicographic coordinates); the canonical enumeration
     order used everywhere for determinism.  Raises OverflowError, before
     visiting any point, when the coordinate box holds more than
-    MAX_WINDOW_POINTS weights.
+    MAX_WINDOW_POINTS weights or the ball more than MAX_BALL_POINTS.
 
     Exact in ints: int_norm(w) = norm_scale * <w, w> is compared with
     floor(norm_scale * max_norm_sq) and sorted on, which selects and orders
@@ -384,7 +386,8 @@ def enumerate_levi_dominant(
     norm as a function of the last coordinate x is a + b x + c x^2 with
     c > 0, and a + b x + c x^2 <= M is (2 c x + b)^2 <= b^2 - 4 c (a - M) =: D,
     which for an integer x is |2 c x + b| <= isqrt(D).  So the valid x form
-    one interval, found without testing any point outside the ball.
+    one interval, found without testing any point outside the ball, and the
+    interval lengths summed over the heads count the ball before it is built.
     """
     max_norm_sq = Fraction(max_norm_sq)
     if max_norm_sq < 0:
@@ -402,13 +405,13 @@ def enumerate_levi_dominant(
             f"over the limit of {MAX_WINDOW_POINTS}"
         )
     bound = int_norm_bound(rd, max_norm_sq)
-    g = rd.int_gram
     last = rd.rank - 1
-    c = g[last][last]
-    out = []
+    e_last = zero_weight(last) + (1,)
+    c = int_norm(rd, e_last)
+    spans = []
     for head in itertools.product(*ranges[:last]):
-        a = sum(x * sum(g[i][j] * head[j] for j in range(last)) for i, x in enumerate(head))
-        b = 2 * sum(g[last][j] * head[j] for j in range(last))
+        w = head + (0,)  # int_norm(head + (x,)) = a + b x + c x^2
+        a, b = int_norm(rd, w), 2 * int_pair(rd, w, e_last)
         disc = b * b - 4 * c * (a - bound)
         if disc < 0:
             continue
@@ -416,8 +419,11 @@ def enumerate_levi_dominant(
         lo = -((b + s) // (2 * c))
         if last in nonneg:
             lo = max(lo, 0)
-        for x in range(lo, (s - b) // (2 * c) + 1):
-            out.append((a + (b + c * x) * x, head + (x,)))
+        spans.append((head, a, b, range(lo, (s - b) // (2 * c) + 1)))
+    count = sum(len(xs) for *_, xs in spans)
+    if count > MAX_BALL_POINTS:
+        raise OverflowError(f"its ball holds {count} weights, over the limit of {MAX_BALL_POINTS}")
+    out = [(a + (b + c * x) * x, head + (x,)) for head, a, b, xs in spans for x in xs]
     out.sort()
     return [w for _, w in out]
 

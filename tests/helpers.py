@@ -9,6 +9,7 @@ dominant element of a brute-force Weyl orbit.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import itertools
 import json
@@ -83,7 +84,6 @@ def enumerate_levi_dominant_fractions(rd, levi, max_norm_sq):
 
     Walks the whole coordinate box and sorts by (Fraction norm^2, lex).
     """
-    from kcone import weight_norm_sq
     from kcone.rootdata import _coordinate_box
 
     max_norm_sq = Fraction(max_norm_sq)
@@ -97,7 +97,7 @@ def enumerate_levi_dominant_fractions(rd, levi, max_norm_sq):
     ]
     out = []
     for w in itertools.product(*ranges):
-        ns = weight_norm_sq(rd, w)
+        ns = norm_sq_fractions(rd, w)
         if ns <= max_norm_sq:
             out.append((ns, w))
     out.sort()
@@ -200,14 +200,12 @@ def solve_fractions(columns, target):
 
 
 def weyl_dim_fractions(rd, levi, hw) -> Fraction:
-    """Weyl dimension formula with Fraction rho_l and the library's weight_form.
+    """Weyl dimension formula with Fraction rho_l and the reference form.
 
     levi is a set of simple-root indices; returns the Fraction quotient
     prod <hw + rho_l, alpha> / prod <rho_l, alpha> over the Levi's positive
     roots.
     """
-    from kcone import weight_form
-
     roots = [
         root
         for root, coeffs in zip(rd.positive_roots, rd.positive_root_coeffs)
@@ -220,8 +218,8 @@ def weyl_dim_fractions(rd, levi, hw) -> Fraction:
     shifted = [rho_l[k] + hw[k] for k in range(rd.rank)]
     num = den = Fraction(1)
     for root in roots:
-        num *= weight_form(rd, shifted, root)
-        den *= weight_form(rd, rho_l, root)
+        num *= form_fractions(rd, shifted, root)
+        den *= form_fractions(rd, rho_l, root)
     return num / den
 
 
@@ -233,10 +231,75 @@ def cartan_inverse_fractions(cartan) -> list[list[Fraction]]:
     return [[inv_cols[j][i] for j in range(rank)] for i in range(rank)]
 
 
-def weight_height(rd, w) -> Fraction:
+@functools.lru_cache(maxsize=None)
+def gram_fractions(rd) -> tuple[tuple[Fraction, ...], ...]:
+    """The invariant form on fundamental weights, D * cartan^{-1}, in Fractions.
+
+    Built from the Cartan matrix and the symmetrizer alone, never from the
+    library's int_gram.
+    """
+    inverse = cartan_inverse_fractions(rd.cartan)
+    return tuple(tuple(d * x for x in row) for d, row in zip(rd.symmetrizer, inverse))
+
+
+def form_fractions(rd, a, b) -> Fraction:
+    """<a, b> under gram_fractions; a and b may have Fraction entries."""
+    gram = gram_fractions(rd)
+    return sum(
+        (a[i] * gram[i][j] * b[j] for i in range(rd.rank) for j in range(rd.rank)),
+        Fraction(0),
+    )
+
+
+def norm_sq_fractions(rd, w) -> Fraction:
+    return form_fractions(rd, w, w)
+
+
+def root_coefficients_fractions(rd, w) -> list[Fraction]:
+    """Simple-root coefficients of w: the solution c of cartan * c = w."""
     rank = rd.rank
     cols = [[rd.cartan[i][j] for i in range(rank)] for j in range(rank)]
-    return sum(solve_fractions(cols, w))
+    return solve_fractions(cols, w)
+
+
+def weight_height(rd, w) -> Fraction:
+    return sum(root_coefficients_fractions(rd, w))
+
+
+def freudenthal_fractions(rd, hw) -> dict[tuple[int, ...], int]:
+    """Multiplicity of every dominant weight of V(hw), by Freudenthal over Fractions.
+
+    Uses the reference form, coefficients from a Fraction solve, and the
+    Fraction box walk; asserts every multiplicity is a positive integer.
+    """
+    from kcone import dominant_conjugate
+
+    rank = rd.rank
+    hw = tuple(hw)
+    shift = lambda w: tuple(x + 1 for x in w)  # w + rho
+    top = norm_sq_fractions(rd, shift(hw))
+    depths = {}
+    for nu in enumerate_levi_dominant_fractions(rd, range(rank), norm_sq_fractions(rd, hw)):
+        c = root_coefficients_fractions(rd, tuple(a - b for a, b in zip(hw, nu)))
+        if all(x.denominator == 1 and x >= 0 for x in c):
+            depths[nu] = sum(c)
+    root_heights = [weight_height(rd, root) for root in rd.positive_roots]
+    table = {}
+    for nu in sorted(depths, key=lambda nu: (depths[nu], nu)):
+        if nu == hw:
+            table[nu] = 1
+            continue
+        total = Fraction(0)
+        for root, rh in zip(rd.positive_roots, root_heights):
+            k = 1
+            while k * rh <= depths[nu]:
+                w = tuple(a + k * b for a, b in zip(nu, root))
+                total += table.get(dominant_conjugate(rd, w), 0) * form_fractions(rd, w, root)
+                k += 1
+        value = 2 * total / (top - norm_sq_fractions(rd, shift(nu)))
+        assert value.denominator == 1 and value >= 1, (hw, nu, value)
+        table[nu] = int(value)
+    return table
 
 
 def character_by_division(rd, hw) -> dict[tuple[int, ...], int]:
@@ -440,12 +503,12 @@ def dense_hnf_certified_split(rd, vectors, support_norm_sq, certify_norm_sq):
     Returns (certified, provisional), each a list of (coeffs, combination)
     with coeffs sorted by weight and combination sorted by input index.
     """
-    from kcone import enumerate_dominant, weight_norm_sq
+    from kcone import enumerate_dominant
 
     axis = tuple(enumerate_dominant(rd, Fraction(support_norm_sq)))
     rev = list(reversed(axis))
     rev_index = {w: i for i, w in enumerate(rev)}
-    n_big = sum(1 for w in rev if weight_norm_sq(rd, w) > Fraction(certify_norm_sq))
+    n_big = sum(1 for w in rev if norm_sq_fractions(rd, w) > Fraction(certify_norm_sq))
     rows = [
         _DenseTrackedRow(flatten_kclass(kc, rev_index), {t: 1}, t)
         for t, kc in enumerate(vectors)

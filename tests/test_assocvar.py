@@ -1,4 +1,5 @@
 import dataclasses
+from fractions import Fraction
 
 import pytest
 
@@ -133,6 +134,14 @@ def test_support_outside_bound_raises(basis_cache, a1):
     basis = basis_cache("A1", 16)
     with pytest.raises(BoundTooSmallError, match="norm"):
         express_in_geometric_basis(a1, gamma_class(a1, (8,)), basis)
+
+
+def test_support_just_outside_a_rational_bound_raises(basis_cache, a1):
+    # <(5,), (5,)> = 25/2 exceeds 49/4 by 1/4, half a unit of the integer norm
+    basis = basis_cache("A1", Fraction(49, 4))
+    assert express_in_geometric_basis(a1, gamma_class(a1, (4,)), basis)
+    with pytest.raises(BoundTooSmallError, match=r"\(5,\) has norm\^2 25/2 > bound\^2 49/4;"):
+        express_in_geometric_basis(a1, gamma_class(a1, (5,)), basis)
 
 
 def test_residual_raises_bound_error(basis_cache, a1):

@@ -6,7 +6,7 @@ import time
 
 import pytest
 
-from kcone import orbitalg
+from kcone import cli, orbitalg
 from kcone.cli import main
 
 
@@ -206,6 +206,37 @@ def test_basis_huge_finite_bound_exits_3_before_enumerating():
     assert proc.stderr.startswith("error: truncation window too large to enumerate")
     assert "over the limit" in proc.stderr
     assert time.perf_counter() - t0 < 30
+
+
+def test_basis_ball_over_the_limit_exits_3():
+    # a coordinate box under the box limit whose ball of about 9 * 10^7
+    # weights is over the ball limit: refused before the list is built, so
+    # the address space cap is never reached
+    def limit_memory():
+        resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+
+    proc = subprocess.run(
+        [sys.executable, "-m", "kcone.cli", "basis", "A1", "--bound-sq", "1e15"],
+        capture_output=True,
+        text=True,
+        timeout=120,
+        preexec_fn=limit_memory,
+    )
+    assert proc.returncode == 3
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("error: truncation window too large to enumerate")
+    assert "its ball holds" in proc.stderr
+
+
+def test_basis_bad_orbit_exits_before_building(capsys, monkeypatch):
+    def unreachable(*args):
+        raise AssertionError("full_basis must not run for an unknown orbit")
+
+    monkeypatch.setattr(cli, "full_basis", unreachable)
+    code, out, err = run_cli(capsys, "basis", "C3", "--bound-sq", "1", "--orbit", "99")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: no orbit with id 99 in C3")
 
 
 def test_basis_out_of_memory_exits_3(capsys, monkeypatch):

@@ -17,9 +17,11 @@ from kcone import (
     kclass_scale,
     pushforward,
     skyscraper_class,
+    spanning_set,
     std_to_class,
 )
 from kcone.ktheory import _subset_cap_bits, hnf_certified_split
+from kcone.orbitalg import _windows
 
 from helpers import brute_dominant, brute_pushforward, weyl_group
 
@@ -221,3 +223,23 @@ def test_hnf_certified_split_a1_skyscrapers(a1):
         for t, c in tv.combination:
             acc = kclass_add(acc, kclass_scale(vectors[t], c))
         assert acc.coeffs == tv.kclass.coeffs
+
+
+@pytest.mark.parametrize("label,bound", [("A2", 50), ("B2", 16), ("G2", 8), ("A1xA1", 16)])
+def test_tracked_combinations_reproduce_their_rows(label, bound):
+    # every orbit's deduplicated spanning set, as orbital_basis splits it;
+    # every certified and provisional output, summed from its inputs
+    rd = build_root_datum(label)
+    win = _windows(rd, bound)
+    for orbit in classify_orbits(rd):
+        span = spanning_set(rd, grading_data(rd, orbit), bound)
+        vectors = list(dict.fromkeys(kc for _, kc in span))
+        split = hnf_certified_split(rd, vectors, win.support_sq, win.bound_sq)
+        assert split.certified or split.provisional
+        for tv in split.certified + split.provisional:
+            acc = {}
+            for t, n in tv.combination:
+                assert n
+                for w, c in vectors[t].coeffs:
+                    acc[w] = acc.get(w, 0) + n * c
+            assert {w: c for w, c in acc.items() if c} == tv.kclass.as_dict()

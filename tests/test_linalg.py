@@ -13,12 +13,13 @@ from kcone import (
     weight_norm_sq,
 )
 from kcone.linalg import IntEchelon, solve
-from kcone.rootdata import _cartan_inverse
+from kcone.repcalc import _root_coefficients
 
 from helpers import (
     ScanIntEchelon,
     cartan_inverse_fractions,
     flatten_kclass,
+    gram_fractions,
     rational_rank,
     solve_fractions,
 )
@@ -221,7 +222,18 @@ def test_solve_seeded_a2_modules(basis_cache):
 def test_gram_and_cartan_inverse_match_reference(label):
     rd = build_root_datum(label)
     inverse = cartan_inverse_fractions(rd.cartan)
-    assert _cartan_inverse(rd) == tuple(tuple(row) for row in inverse)
-    assert rd.gram == tuple(
-        tuple(d * x for x in row) for d, row in zip(rd.symmetrizer, inverse)
-    )
+    # cartan^{-1}[i][j] = int_gram[i][j] / (norm_scale * d_i), and norm_scale
+    # is the least scale making the form D * cartan^{-1} integral
+    scale = rd.norm_scale
+    assert [
+        [Fraction(g, scale * d) for g in row] for d, row in zip(rd.symmetrizer, rd.int_gram)
+    ] == inverse
+    gram = gram_fractions(rd)
+    assert scale == math.lcm(*(x.denominator for row in gram for x in row))
+    assert rd.int_gram == tuple(tuple(int(x * scale) for x in row) for row in gram)
+    # column j of the inverse, scaled to ints, is the root-coefficient vector
+    # of the scaled j-th fundamental weight
+    for j in range(rd.rank):
+        den = math.lcm(*(inverse[i][j].denominator for i in range(rd.rank)))
+        w = tuple(den * int(i == j) for i in range(rd.rank))
+        assert _root_coefficients(rd, w) == tuple(den * inverse[i][j] for i in range(rd.rank))

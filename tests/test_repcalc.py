@@ -13,7 +13,14 @@ from kcone import (
     weyl_dim,
 )
 
-from helpers import character_by_division, rational_rank, weyl_dim_fractions, weyl_orbit
+from helpers import (
+    character_by_division,
+    freudenthal_fractions,
+    norm_sq_fractions,
+    rational_rank,
+    weyl_dim_fractions,
+    weyl_orbit,
+)
 
 
 def test_weyl_dim_a1(a1):
@@ -105,6 +112,22 @@ def test_freudenthal_matches_character_division_b2(b2):
         assert sum(table.values()) == weyl_dim(b2, None, hw)
         for w, m in table.items():
             assert weight_multiplicity(b2, hw, w) == m
+
+
+@pytest.mark.parametrize("label", ["A2", "B2", "G2", "A3", "C3"])
+def test_freudenthal_matches_fraction_reference(label):
+    # every dominant hw with norm^2 <= 8: the integer recursion against the
+    # Fraction one, on every dominant weight up to the norm of hw
+    rd = build_root_datum(label)
+    for hw in enumerate_dominant(rd, 8):
+        table = freudenthal_fractions(rd, hw)
+        for mu in enumerate_dominant(rd, norm_sq_fractions(rd, hw) + 2):
+            assert weight_multiplicity(rd, hw, mu) == table.get(mu, 0), (hw, mu)
+        # nondominant weights are read through their dominant conjugates
+        for mu, m in table.items():
+            for i in range(rd.rank):
+                s_mu = tuple(x - mu[i] * rd.cartan[k][i] for k, x in enumerate(mu))
+                assert weight_multiplicity(rd, hw, s_mu) == m
 
 
 def test_restrict_gamma_class_a1(a1):

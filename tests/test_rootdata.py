@@ -11,11 +11,31 @@ from kcone import (
     dominant_conjugate,
     enumerate_dominant,
     enumerate_levi_dominant,
+    weight_form,
     weight_norm_sq,
 )
-from kcone.rootdata import MAX_WINDOW_POINTS, int_norm, int_norm_bound, sqrt_upper
+from kcone import rootdata
+from kcone.repcalc import _depth, _root_coefficients
+from kcone.rootdata import (
+    MAX_BALL_POINTS,
+    MAX_WINDOW_POINTS,
+    int_norm,
+    int_norm_bound,
+    int_pair,
+    sqrt_upper,
+)
 
-from helpers import brute_dominant, enumerate_levi_dominant_fractions, weyl_group, weyl_orbit
+from helpers import (
+    brute_dominant,
+    enumerate_levi_dominant_fractions,
+    form_fractions,
+    gram_fractions,
+    norm_sq_fractions,
+    root_coefficients_fractions,
+    weight_height,
+    weyl_group,
+    weyl_orbit,
+)
 
 # dim g per label, for the positive-root count identity #roots = (dim-rank)/2
 DIMENSIONS = {
@@ -226,12 +246,40 @@ def test_enumeration_matches_fraction_reference(label, bound, scale):
 @pytest.mark.parametrize("label", ["A1", "A2", "B2", "C3", "G2", "F4", "A1xA1xA1"])
 def test_int_norm_scales_the_form(label):
     rd = build_root_datum(label)
-    assert all(x * rd.norm_scale == y for r, s in zip(rd.gram, rd.int_gram) for x, y in zip(r, s))
+    gram = gram_fractions(rd)
+    assert all(x * rd.norm_scale == y for r, s in zip(gram, rd.int_gram) for x, y in zip(r, s))
     for w in itertools.islice(itertools.product(range(-2, 3), repeat=rd.rank), 200):
-        ns = weight_norm_sq(rd, w)
+        ns = norm_sq_fractions(rd, w)
         assert int_norm(rd, w) == ns * rd.norm_scale
         for x in (ns, ns - Fraction(1, 7), ns + Fraction(1, 7)):
             assert (int_norm(rd, w) <= int_norm_bound(rd, x)) == (ns <= x)
+
+
+PAIRING_TYPES = ["A1", "A2", "A3", "B2", "C3", "D4", "G2", "F4", "E6", "A1xA1xA1"]
+
+
+@pytest.mark.parametrize("label", PAIRING_TYPES)
+@given(data=st.data())
+@settings(max_examples=25, deadline=None)
+def test_integer_pairing_matches_fraction_reference(label, data):
+    # pairing, norms, simple-root coefficients and heights against the
+    # reference form built from the Cartan matrix by Fraction Gauss-Jordan
+    rd = build_root_datum(label)
+    ints = st.lists(st.integers(-9, 9), min_size=rd.rank, max_size=rd.rank).map(tuple)
+    a, b, c = data.draw(ints), data.draw(ints), data.draw(ints)
+    scale = rd.norm_scale
+    assert int_pair(rd, a, b) == form_fractions(rd, a, b) * scale
+    assert weight_form(rd, a, b) == form_fractions(rd, a, b)
+    assert int_norm(rd, a) == norm_sq_fractions(rd, a) * scale
+    assert weight_norm_sq(rd, a) == norm_sq_fractions(rd, a)
+    ref = root_coefficients_fractions(rd, a)
+    expected = tuple(int(x) for x in ref) if all(x.denominator == 1 for x in ref) else None
+    assert _root_coefficients(rd, a) == expected
+    # c as simple-root coefficients: every root-lattice weight comes back
+    w = tuple(sum(rd.cartan[i][k] * c[k] for k in range(rd.rank)) for i in range(rd.rank))
+    assert _root_coefficients(rd, w) == c
+    assert sum(c) == weight_height(rd, w)
+    assert _depth(rd, w, (0,) * rd.rank) == (sum(c) if min(c) >= 0 else None)
 
 
 def test_enumeration_refuses_a_box_over_the_limit(a1, b2):
@@ -241,3 +289,16 @@ def test_enumeration_refuses_a_box_over_the_limit(a1, b2):
             with pytest.raises(OverflowError, match=f"over the limit of {MAX_WINDOW_POINTS}"):
                 enumerate_levi_dominant(rd, levi, 10**30)
     assert enumerate_levi_dominant(a1, (), -1) == []
+
+
+def test_enumeration_refuses_a_ball_over_the_limit(a1, a2, monkeypatch):
+    # boxes under MAX_WINDOW_POINTS whose balls are over MAX_BALL_POINTS,
+    # refused from the per-head counts before the list is built
+    for rd, bound in ((a1, 10**15), (a2, 10**7)):
+        with pytest.raises(OverflowError, match=f"over the limit of {MAX_BALL_POINTS}"):
+            enumerate_levi_dominant(rd, (), bound)
+    # A1's ball at bound n^2 / 2 holds the 2n + 1 integers in [-n, n]
+    monkeypatch.setattr(rootdata, "MAX_BALL_POINTS", 11)
+    assert enumerate_levi_dominant(a1, (), Fraction(25, 2))[-2:] == [(-5,), (5,)]
+    with pytest.raises(OverflowError, match="its ball holds 13 weights, over the limit of 11"):
+        enumerate_levi_dominant(a1, (), 18)
