@@ -36,8 +36,6 @@ from .orbitalg import (
     GeometricBasisVector,
     full_basis,
     norm_constant,
-    orbital_basis,
-    spanning_set,
 )
 from .repcalc import (
     MultiplicityVector,
@@ -97,12 +95,10 @@ __all__ = [
     "kclass_scale",
     "module_to_kclass",
     "norm_constant",
-    "orbital_basis",
     "pushforward",
     "restrict_gamma_class",
     "restrict_kclass",
     "skyscraper_class",
-    "spanning_set",
     "std_to_class",
     "weight_add",
     "weight_form",

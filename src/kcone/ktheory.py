@@ -296,6 +296,15 @@ def hnf_certified_split(
     tracked combinations reproduce the rows exactly.  Norms are the ints
     int_norm(w), compared with int_norm_bound of each window: the same
     tests and the same column order as with Fraction norms.
+
+    Each row waits in a bucket under its leading column, its largest
+    (norm^2, lex) weight.  The columns above it are already cleared, and a
+    pivot row has no entry above the current column, so a row's leading
+    column is its only possible entry among the columns to come: a column
+    takes exactly its own bucket, and a row left nonzero without an entry
+    there is filed under its new leading column.  The pivot is the least
+    row by (|entry|, input order), a total order, and every other row is
+    reduced by the pivot alone, so bucket order cannot change the split.
     """
     support_norm_sq = Fraction(support_norm_sq)
     support_bound = int_norm_bound(rd, support_norm_sq)
@@ -319,11 +328,18 @@ def hnf_certified_split(
     def key(w: Weight) -> tuple[int, Weight]:
         return norm[w], w
 
+    columns = sorted(norm, key=key)
+    position = {w: i for i, w in enumerate(columns)}
+    buckets: dict[int, list[_TrackedRow]] = {}
+
+    def file_row(r: _TrackedRow) -> None:  # in the bucket of its leading column
+        buckets.setdefault(max(map(position.__getitem__, r.vec)), []).append(r)
+
+    for r in rows:
+        file_row(r)
     done: dict[Weight, _TrackedRow] = {}
-    active = rows
-    for col in sorted(norm, key=key, reverse=True):
-        with_entry = [r for r in active if col in r.vec]
-        rest = [r for r in active if col not in r.vec]
+    for i, col in reversed(list(enumerate(columns))):
+        with_entry = buckets.pop(i, [])
         while len(with_entry) > 1:
             with_entry.sort(key=lambda r: (abs(r.vec[col]), r.order))
             p = with_entry[0]
@@ -337,14 +353,13 @@ def hnf_certified_split(
                 if col in r.vec:
                     survivors.append(r)
                 elif r.vec:
-                    rest.append(r)
+                    file_row(r)
             with_entry = survivors
         if with_entry:
             p = with_entry[0]
             if p.vec[col] < 0:
                 p.negate()
             done[col] = p
-        active = rest
 
     def build(col: Weight) -> TrackedVector:
         row = done[col]

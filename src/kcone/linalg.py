@@ -10,7 +10,6 @@ which needs unimodular steps, lives in ktheory.hnf_certified_split.
 
 from __future__ import annotations
 
-import bisect
 import heapq
 import math
 from typing import Hashable, Mapping, Optional, Sequence
@@ -41,12 +40,11 @@ class IntEchelon:
 
     Each stored row is zero at the pivots of the rows stored before it, and
     eliminating a pivot only touches keys above it, so reducing pivot by
-    pivot in increasing order leaves a row zero at every pivot.  _pivots
-    is kept sorted, and _by_pivot maps each pivot to its row.
+    pivot in increasing order leaves a row zero at every pivot.  _by_pivot
+    maps each pivot to its row.
     """
 
     def __init__(self) -> None:
-        self._pivots: list = []
         self._by_pivot: dict[Hashable, Row] = {}
 
     def reduce(self, row: Mapping) -> Row:
@@ -103,13 +101,11 @@ class IntEchelon:
         if not red:
             return False
         red = _normalize_row(red)
-        pivot = min(red)
-        bisect.insort(self._pivots, pivot)
-        self._by_pivot[pivot] = red
+        self._by_pivot[min(red)] = red
         return True
 
     def __len__(self) -> int:
-        return len(self._pivots)
+        return len(self._by_pivot)
 
 
 def solve(
@@ -141,7 +137,7 @@ def solve(
         row = {(0, w): x for w, x in col.items()}
         row[(1, j)] = 1
         ech.add(row)
-    if sum(1 for p in ech._pivots if p[0] == 0) < k:
+    if sum(1 for p in ech._by_pivot if p[0] == 0) < k:
         raise ValueError("columns are linearly dependent")
     row = {(0, w): x for w, x in target.items()}
     row[(2,)] = 1

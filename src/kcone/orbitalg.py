@@ -11,13 +11,13 @@ replaced by rational upper bounds, which only enlarges the windows and
 never affects soundness; certification of a basis vector is the exact
 test that its whole support has norm^2 <= N^2.
 
-One ball per window, integer norms: full_basis enumerates the span-window
-ball once, every orbit takes its Levi weights by filtering it on the Levi
-nodes, and every window test compares the integer norm
-rootdata.int_norm(w) with rootdata.int_norm_bound of the window, which is
-the same test as with Fraction norms.  Each orbit's pushforward product is
-expanded once, and dominant conjugates are memoised for the whole basis.
-No cache outlives a full_basis call.
+One call graph: full_basis builds all per-basis state (the windows, each
+orbit's grading and expanded pushforward product, the span-window ball, a
+dominant-conjugate memo) and passes it down full_basis -> orbital_basis ->
+spanning_set -> pushforward, and orbital_basis -> hnf_certified_split.
+Every orbit filters the one ball on its Levi nodes, and every window test
+compares rootdata.int_norm(w) with rootdata.int_norm_bound of the window,
+the same test as with Fraction norms.  No state outlives a full_basis call.
 
 Per orbit, the pushforward spanning set (in (norm^2, lex) order of the
 Levi weight) generates an integer lattice of classes.  Hermite reduction
@@ -38,11 +38,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Sequence
 
 from .ktheory import (
     KClass,
-    _check_subset_cap,
     hnf_certified_split,
     pushforward,
     pushforward_offsets,
@@ -134,59 +133,48 @@ def _windows(rd: RootDatum, bound_sq) -> _Windows:
     return _Windows(bound_sq, c, (b + c) ** 2, (b + 2 * c) ** 2)
 
 
-def _check_spanning_cap(rd: RootDatum, gd: GradingData) -> None:
-    _check_subset_cap(
-        len(gd.degree1_roots) + len(gd.levi_positive_roots),
-        f"spanning set on orbit {gd.orbit_id} of {rd.type_label}",
-    )
-
-
 def spanning_set(
     rd: RootDatum,
     gd: GradingData,
-    bound_sq,
-    ball: Optional[Sequence[Weight]] = None,
-    folded: Optional[dict[Weight, Weight]] = None,
+    offsets: dict[Weight, int],
+    ball: Sequence[Weight],
+    folded: dict[Weight, Weight],
 ) -> list[tuple[Weight, KClass]]:
     """Pushforward classes for every Levi-dominant weight in the span window.
 
-    Ordered by (norm^2, lex) of the Levi weight.  The weights are those of
-    ball, the whole span-window ball enumerate_levi_dominant(rd, (), span
-    window) for this bound, that are nonnegative on the Levi nodes; ball is
-    enumerated here, after the subset-cap check, when none is given (a
-    caller passing ball checks the cap first, as full_basis does).  That
-    is, in order, the list enumerate_levi_dominant(rd, levi, span window)
-    returns: both are the same set, and a subsequence of a list sorted by
-    (norm^2, lex) is sorted by it.  folded is a dominant-conjugate memo for
-    pushforward.
+    Ordered by (norm^2, lex) of the Levi weight.  ball is the whole
+    span-window ball enumerate_levi_dominant(rd, (), span window) of the
+    basis, and the weights are those of ball that are nonnegative on the
+    Levi nodes.  That is, in order, the list enumerate_levi_dominant(rd,
+    levi, span window) returns: both are the same set, and a subsequence
+    of a list sorted by (norm^2, lex) is sorted by it.  offsets is
+    pushforward_offsets(rd, gd) and folded a dominant-conjugate memo, both
+    passed to pushforward.
     """
-    if ball is None:
-        # fail before enumerating the window, which can dwarf the cap check
-        _check_spanning_cap(rd, gd)
-        ball = enumerate_levi_dominant(rd, (), _windows(rd, bound_sq).span_sq)
     levi = gd.levi_simple
-    phis = [w for w in ball if all(w[i] >= 0 for i in levi)]
-    offsets = pushforward_offsets(rd, gd)
-    if folded is None:
-        folded = {}
-    return [(phi, pushforward(rd, gd, phi, offsets, folded)) for phi in phis]
+    return [
+        (phi, pushforward(rd, gd, phi, offsets, folded))
+        for phi in ball
+        if all(phi[i] >= 0 for i in levi)
+    ]
 
 
 def orbital_basis(
     rd: RootDatum,
     orbit: NilpotentOrbit,
     echelon: IntEchelon,
-    bound_sq,
-    ball: Optional[Sequence[Weight]] = None,
-    folded: Optional[dict[Weight, Weight]] = None,
-    gd: Optional[GradingData] = None,
+    win: _Windows,
+    gd: GradingData,
+    offsets: dict[Weight, int],
+    ball: Sequence[Weight],
+    folded: dict[Weight, Weight],
 ) -> list[GeometricBasisVector]:
     """Basis of the orbit's K-theory modulo the classes already in echelon.
 
     echelon must span the vectors of every orbit before this one in
-    (dimension, id) order, computed at the same bound; each returned vector
-    is added to it, and no other row is.  ball and folded are passed to
-    spanning_set; gd, when given, is grading_data(rd, orbit).
+    (dimension, id) order, computed in the same windows win; each returned
+    vector is added to it, and no other row is.  gd is grading_data(rd,
+    orbit); offsets, ball and folded are passed to spanning_set.
 
     Working modulo the boundary only needs the strata strictly below the
     orbit in the closure order; they all come earlier, since a boundary
@@ -200,11 +188,8 @@ def orbital_basis(
     express_in_geometric_basis needs that independence of the certified
     vectors anyway; the shared echelon makes it hold by construction.
     """
-    win = _windows(rd, bound_sq)
     certify_bound = int_norm_bound(rd, win.bound_sq)
-    if gd is None:
-        gd = grading_data(rd, orbit)
-    span = spanning_set(rd, gd, bound_sq, ball, folded)
+    span = spanning_set(rd, gd, offsets, ball, folded)
     # drop exact duplicates up front; they contribute nothing to the lattice
     seen: set[KClass] = set()
     candidates: list[tuple[Weight, KClass]] = []
@@ -244,23 +229,24 @@ def orbital_basis(
 def full_basis(rd: RootDatum, bound_sq) -> GeometricBasis:
     """Geometric basis for every orbit, by induction over the closure order.
 
-    Every orbit's subset cap is checked before the span-window ball is
-    enumerated; the ball and the fold memo are then shared by all orbits
-    and dropped with this call.
+    This call builds all per-basis and per-orbit state: the windows, each
+    orbit's grading and pushforward offsets, the span-window ball and the
+    fold memo; all of it is dropped when the call returns.  Expanding an
+    orbit's offsets checks its subset cap first, so every cap is checked
+    once, before the ball, which can dwarf the check, is enumerated.
     """
     win = _windows(rd, bound_sq)
     orbits = tuple(classify_orbits(rd))
     poset = closure_poset(rd, orbits)
     gds = [grading_data(rd, orbit) for orbit in orbits]
-    for gd in gds:  # every cap check before the ball is enumerated
-        _check_spanning_cap(rd, gd)
+    offsets = [pushforward_offsets(rd, gd) for gd in gds]
     ball = enumerate_levi_dominant(rd, (), win.span_sq)
     folded: dict[Weight, Weight] = {}
     strata: dict[int, tuple[GeometricBasisVector, ...]] = {}
     echelon = IntEchelon()
-    for orbit, gd in zip(orbits, gds):  # ordered by (dimension, id)
+    for orbit, gd, offs in zip(orbits, gds, offsets):  # by (dimension, id)
         strata[orbit.id] = tuple(
-            orbital_basis(rd, orbit, echelon, bound_sq, ball, folded, gd)
+            orbital_basis(rd, orbit, echelon, win, gd, offs, ball, folded)
         )
     return GeometricBasis(
         type_label=rd.type_label,

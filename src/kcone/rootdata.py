@@ -75,11 +75,13 @@ class RootDatum:
 
     ``cartan[i][j]`` is the pairing of the j-th simple root with the i-th
     simple coroot, so column j is the j-th simple root as a weight.
-    ``positive_root_coeffs[k]`` expands ``positive_roots[k]`` over the
-    simple roots.  ``int_gram`` is ``norm_scale`` times the matrix of the
-    invariant form on the weight lattice, normalized so short roots have
-    squared length 2, and ``norm_scale`` is the least positive integer
-    that makes every entry an int (see the module docstring).
+    ``positive_roots`` lists the simple roots first, in node order, then
+    the rest by height.  ``positive_root_coeffs[k]`` expands
+    ``positive_roots[k]`` over the simple roots.  ``int_gram`` is
+    ``norm_scale`` times the matrix of the invariant form on the weight
+    lattice, normalized so short roots have squared length 2, and
+    ``norm_scale`` is the least positive integer that makes every entry
+    an int (see the module docstring).
     """
 
     type_label: str
@@ -88,7 +90,6 @@ class RootDatum:
     symmetrizer: tuple[int, ...]
     positive_roots: tuple[Weight, ...]
     positive_root_coeffs: tuple[tuple[int, ...], ...]
-    simple_root_indices: tuple[int, ...]
     norm_scale: int
     int_gram: tuple[tuple[int, ...], ...]
 
@@ -97,7 +98,7 @@ class RootDatum:
         return self.rank + 2 * len(self.positive_roots)
 
     def simple_root(self, i: int) -> Weight:
-        return self.positive_roots[self.simple_root_indices[i]]
+        return self.positive_roots[i]
 
     def rho(self) -> Weight:
         """Half the sum of positive roots: (1, ..., 1)."""
@@ -287,7 +288,6 @@ def build_root_datum(type_label: str) -> RootDatum:
         symmetrizer=tuple(symmetrizer),
         positive_roots=coords,
         positive_root_coeffs=coeffs,
-        simple_root_indices=tuple(range(rank)),
         norm_scale=scale,
         int_gram=tuple(tuple(int(x * scale) for x in row) for row in form),
     )

@@ -554,6 +554,23 @@ def dense_hnf_certified_split(rd, vectors, support_norm_sq, certify_norm_sq):
     return certified, provisional
 
 
+def reference_spanning_set(rd, gd, bound_sq):
+    """The orbit's spanning set as orbitalg.spanning_set builds it in full_basis.
+
+    The Levi weights come from their own per-Levi enumeration of the span
+    window and each is pushed forward alone, so no ball, offsets or fold
+    memo is shared with the code under test.
+    """
+    from kcone import enumerate_levi_dominant, pushforward
+    from kcone.orbitalg import _windows
+
+    span_sq = _windows(rd, bound_sq).span_sq
+    return [
+        (phi, pushforward(rd, gd, phi))
+        for phi in enumerate_levi_dominant(rd, gd.levi_simple, span_sq)
+    ]
+
+
 def dense_strata(rd, bound_sq):
     """full_basis strata through the dense kernels, keyed by orbit id.
 
@@ -561,7 +578,7 @@ def dense_strata(rd, bound_sq):
     library_strata.
     """
     from kcone import KClass, classify_orbits, closure_poset, enumerate_dominant
-    from kcone import grading_data, spanning_set
+    from kcone import grading_data
     from kcone.orbitalg import _windows
 
     win = _windows(rd, bound_sq)
@@ -571,7 +588,7 @@ def dense_strata(rd, bound_sq):
     strata = {}
     for orbit in orbits:
         seen, candidates = set(), []
-        for phi, kc in spanning_set(rd, grading_data(rd, orbit), bound_sq):
+        for phi, kc in reference_spanning_set(rd, grading_data(rd, orbit), bound_sq):
             if kc not in seen:
                 seen.add(kc)
                 candidates.append((phi, kc))

@@ -17,13 +17,12 @@ from kcone import (
     kclass_scale,
     pushforward,
     skyscraper_class,
-    spanning_set,
     std_to_class,
 )
 from kcone.ktheory import _subset_cap_bits, hnf_certified_split
 from kcone.orbitalg import _windows
 
-from helpers import brute_dominant, brute_pushforward, weyl_group
+from helpers import brute_dominant, brute_pushforward, reference_spanning_set, weyl_group
 
 
 def test_gamma_class_examples(a1, a2):
@@ -232,7 +231,7 @@ def test_tracked_combinations_reproduce_their_rows(label, bound):
     rd = build_root_datum(label)
     win = _windows(rd, bound)
     for orbit in classify_orbits(rd):
-        span = spanning_set(rd, grading_data(rd, orbit), bound)
+        span = reference_spanning_set(rd, grading_data(rd, orbit), bound)
         vectors = list(dict.fromkeys(kc for _, kc in span))
         split = hnf_certified_split(rd, vectors, win.support_sq, win.bound_sq)
         assert split.certified or split.provisional

@@ -13,14 +13,13 @@ from kcone import (
     kclass_add,
     kclass_scale,
     norm_constant,
-    orbital_basis,
     pushforward,
-    spanning_set,
     weyl_dim,
 )
-from kcone import orbitalg
-from kcone.ktheory import KClass
+from kcone import ktheory, orbitalg
+from kcone.ktheory import KClass, pushforward_offsets
 from kcone.linalg import IntEchelon
+from kcone.orbitalg import orbital_basis, spanning_set
 
 from helpers import flatten_kclass, norm_sq_fractions, pushforward_reference, rational_rank
 
@@ -37,10 +36,16 @@ def test_norm_constant_values(a1, a2, b2):
     assert low <= cb * cb <= high
 
 
+def own_spanning_set(rd, gd, bound_sq):
+    """spanning_set on a ball, offsets and fold memo of its own."""
+    ball = enumerate_levi_dominant(rd, (), orbitalg._windows(rd, bound_sq).span_sq)
+    return spanning_set(rd, gd, pushforward_offsets(rd, gd), ball, {})
+
+
 def test_spanning_set_a1_regular(a1):
     orbits = classify_orbits(a1)
     gd = grading_data(a1, orbits[1])
-    span = spanning_set(a1, gd, 4)
+    span = own_spanning_set(a1, gd, 4)
     phis = [phi for phi, _ in span]
     # ordered by (norm^2, lex); torus Levi admits negative weights
     assert phis[:5] == [(0,), (-1,), (1,), (-2,), (2,)]
@@ -51,7 +56,7 @@ def test_spanning_set_a1_regular(a1):
 
 def test_spanning_set_a1_zero_orbit(a1):
     gd = grading_data(a1, classify_orbits(a1)[0])
-    span = spanning_set(a1, gd, 4)
+    span = own_spanning_set(a1, gd, 4)
     assert span[0][0] == (0,)
     assert span[0][1].as_dict() == {(0,): 1, (2,): -1}
     assert all(phi[0] >= 0 for phi, _ in span)
@@ -158,17 +163,6 @@ def test_boundary_kernel_a1(basis_cache):
         assert not ech.add(skyscraper_class(rd, (n,)).as_row())
 
 
-def test_spanning_set_checks_subset_cap_before_enumerating(monkeypatch, a2):
-    def no_enumeration(*args):
-        raise AssertionError("enumerated the span window before the cap check")
-
-    monkeypatch.setenv("KCONE_MAX_SUBSET_BITS", "0")
-    monkeypatch.setattr(orbitalg, "enumerate_levi_dominant", no_enumeration)
-    gd = grading_data(a2, classify_orbits(a2)[0])
-    with pytest.raises(SubsetCapExceededError, match="spanning set on orbit 0 of A2: .*2\\^3"):
-        spanning_set(a2, gd, 10**12)
-
-
 def counting_enumeration(monkeypatch):
     calls = []
     real = orbitalg.enumerate_levi_dominant
@@ -193,21 +187,42 @@ def test_full_basis_enumerates_one_ball_per_call(monkeypatch, a2):
 
 def test_full_basis_checks_every_cap_before_the_ball(monkeypatch, a2):
     events = []
-    real_cap = orbitalg._check_subset_cap
+    real_cap = ktheory._check_subset_cap
 
     def recording_cap(nroots, context):
-        events.append("cap")
+        events.append(context)
         return real_cap(nroots, context)
 
     def recording_enumeration(*args):
         events.append("ball")
         return []
 
-    monkeypatch.setattr(orbitalg, "_check_subset_cap", recording_cap)
+    monkeypatch.setattr(ktheory, "_check_subset_cap", recording_cap)
     monkeypatch.setattr(orbitalg, "enumerate_levi_dominant", recording_enumeration)
     full_basis(a2, 18)
-    n = len(classify_orbits(a2))
-    assert events[: n + 1] == ["cap"] * n + ["ball"]
+    orbits = classify_orbits(a2)
+    caps = [f"pushforward on orbit {o.id} of A2" for o in orbits]
+    assert events[: len(orbits) + 1] == caps + ["ball"]
+
+
+def test_full_basis_checks_each_cap_once(monkeypatch, a2):
+    # every cap check reads the cap, whichever module makes it
+    events = []
+    real_bits = ktheory._subset_cap_bits
+    real_enumeration = orbitalg.enumerate_levi_dominant
+
+    def recording_bits():
+        events.append("cap")
+        return real_bits()
+
+    def recording_enumeration(*args):
+        events.append("ball")
+        return real_enumeration(*args)
+
+    monkeypatch.setattr(ktheory, "_subset_cap_bits", recording_bits)
+    monkeypatch.setattr(orbitalg, "enumerate_levi_dominant", recording_enumeration)
+    full_basis(a2, 18)
+    assert events == ["cap"] * len(classify_orbits(a2)) + ["ball"]
 
 
 def test_full_basis_cap_fails_before_enumerating(monkeypatch, a2):
@@ -216,7 +231,7 @@ def test_full_basis_cap_fails_before_enumerating(monkeypatch, a2):
 
     monkeypatch.setenv("KCONE_MAX_SUBSET_BITS", "0")
     monkeypatch.setattr(orbitalg, "enumerate_levi_dominant", no_enumeration)
-    with pytest.raises(SubsetCapExceededError, match="spanning set on orbit 0 of A2"):
+    with pytest.raises(SubsetCapExceededError, match="on orbit 0 of A2: .*2\\^3"):
         full_basis(a2, 10**12)
 
 
@@ -234,22 +249,27 @@ def test_spanning_set_on_shared_ball_matches_reference(label, bound):
     stride = 5 if label == "C3" else 1
     for orbit in classify_orbits(rd):
         gd = grading_data(rd, orbit)
-        span = spanning_set(rd, gd, bound, ball, folded)
+        span = spanning_set(rd, gd, pushforward_offsets(rd, gd), ball, folded)
         assert [phi for phi, _ in span] == enumerate_levi_dominant(rd, gd.levi_simple, span_sq)
         for phi, kc in span[::stride]:
             assert kc == pushforward_reference(rd, gd, phi)
 
 
 def test_orbital_basis_grows_echelon_by_returned_vectors(a2):
+    win = orbitalg._windows(a2, 18)
+    ball = enumerate_levi_dominant(a2, (), win.span_sq)
+    folded = {}
     ech = IntEchelon()
     for orbit in classify_orbits(a2):
+        gd = grading_data(a2, orbit)
+        state = (win, gd, pushforward_offsets(a2, gd), ball, folded)
         before = len(ech)
-        vectors = orbital_basis(a2, orbit, ech, 18)
+        vectors = orbital_basis(a2, orbit, ech, *state)
         assert len(ech) == before + len(vectors)
         # every returned class now lies in the span
         assert not any(ech.add(v.kclass.as_row()) for v in vectors)
         # a second pass over the same orbit finds nothing new
-        assert orbital_basis(a2, orbit, ech, 18) == []
+        assert orbital_basis(a2, orbit, ech, *state) == []
         assert len(ech) == before + len(vectors)
 
 

@@ -8,11 +8,17 @@ combination, rank, certified flag) must equal it exactly.
 
 import pytest
 
-from kcone import build_root_datum, classify_orbits, grading_data, spanning_set
+from kcone import build_root_datum, classify_orbits, grading_data
 from kcone.ktheory import hnf_certified_split
 from kcone.orbitalg import _windows
 
-from helpers import dense_hnf_certified_split, dense_strata, library_strata, strata_digest
+from helpers import (
+    dense_hnf_certified_split,
+    dense_strata,
+    library_strata,
+    reference_spanning_set,
+    strata_digest,
+)
 
 LIVE = [("A1", 64), ("A2", 50), ("B2", 16), ("G2", 8), ("A1xA1", 16)]
 
@@ -44,7 +50,8 @@ def test_hnf_split_matches_dense_reference(label, bound):
     rd = build_root_datum(label)
     win = _windows(rd, bound)
     for orbit in classify_orbits(rd):
-        vectors = [kc for _, kc in spanning_set(rd, grading_data(rd, orbit), bound)]
+        span = reference_spanning_set(rd, grading_data(rd, orbit), bound)
+        vectors = [kc for _, kc in span]
         split = hnf_certified_split(rd, vectors, win.support_sq, win.bound_sq)
         certified, provisional = dense_hnf_certified_split(
             rd, vectors, win.support_sq, win.bound_sq
