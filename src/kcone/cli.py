@@ -17,6 +17,7 @@ import json
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii
 from typing import Optional, Sequence
 
 from .assocvar import (
@@ -32,6 +33,7 @@ from .ktheory import (
     gamma_class,
     kclass_from_terms,
     pushforward,
+    pushforward_kernel,
     skyscraper_class,
 )
 from .nilpotent import classify_orbits, closure_poset, grading_data
@@ -98,9 +100,74 @@ def _vector_json(v: GeometricBasisVector) -> dict:
     }
 
 
+def _json_text(obj) -> str:
+    """The text of json.dumps(obj, indent=2), for the types kcone emits.
+
+    Those are dicts with str keys, lists, str, int, bool and None; anything
+    else raises TypeError.  json.dumps with an indent runs the pure-Python
+    encoder, whose generators cost more than this direct writer.  The output
+    is the same text, case by case, as that encoder (json.encoder's
+    _make_iterencode) writes it with its defaults for indent=2: a str goes
+    through encode_basestring_ascii, the very function json.dumps calls when
+    ensure_ascii is on; an int through int.__repr__; True, False and None as
+    true, false and null.  An empty list or dict is [] or {}.  Otherwise each
+    item or "key": value pair starts on a new line indented two spaces
+    deeper than its container, pairs and items are separated by ",", and the
+    closing bracket is on its own line at the container's indentation.
+    A list of ints, which is most of a basis, is joined into one piece of
+    that same text, so the pieces held before the final join stay few.
+    """
+    out: list[str] = []
+    _json_write(obj, "\n", out.append)
+    return "".join(out)
+
+
+def _json_write(obj, newline: str, put) -> None:
+    """Write obj with put; newline is "\n" plus the indentation of its line."""
+    if isinstance(obj, str):
+        put(encode_basestring_ascii(obj))
+    elif obj is None:
+        put("null")
+    elif obj is True:
+        put("true")
+    elif obj is False:
+        put("false")
+    elif isinstance(obj, int):
+        put(int.__repr__(obj))
+    elif isinstance(obj, list):
+        if not obj:
+            put("[]")
+            return
+        inner = newline + "  "
+        if all(type(x) is int for x in obj):  # a weight: one piece, not 2n + 1
+            put("[" + inner + ("," + inner).join(map(int.__repr__, obj)) + newline + "]")
+            return
+        sep = "[" + inner
+        for item in obj:
+            put(sep)
+            _json_write(item, inner, put)
+            sep = "," + inner
+        put(newline + "]")
+    elif isinstance(obj, dict):
+        if not obj:
+            put("{}")
+            return
+        inner = newline + "  "
+        sep = "{" + inner
+        for key, value in obj.items():
+            if not isinstance(key, str):
+                raise TypeError(f"JSON object key {key!r} is not a str")
+            put(sep + encode_basestring_ascii(key) + ": ")
+            _json_write(value, inner, put)
+            sep = "," + inner
+        put(newline + "}")
+    else:
+        raise TypeError(f"{type(obj).__name__} {obj!r} is not written as JSON")
+
+
 def _emit(payload, fmt: str, text_lines) -> None:
     if fmt == "json":
-        print(json.dumps(payload, indent=2))
+        print(_json_text(payload))
     else:
         for line in text_lines():
             print(line)
@@ -258,7 +325,7 @@ def cmd_pushforward(cfg: RunConfig, phi: tuple[int, ...]) -> int:
         print(f"error: --orbit must name an orbit id of {cfg.type_label}", file=sys.stderr)
         return EXIT_USAGE
     gd = grading_data(rd, orbits[cfg.orbit])
-    kc = pushforward(rd, gd, phi)
+    kc = pushforward(rd, pushforward_kernel(rd, gd), phi)
     payload = {
         "type": cfg.type_label,
         "orbit": cfg.orbit,
@@ -310,7 +377,7 @@ def cmd_selftest() -> int:
         rd = build_root_datum("A2")
         orbits = classify_orbits(rd)
         gd = grading_data(rd, orbits[1])
-        kc = pushforward(rd, gd, (0, 0))
+        kc = pushforward(rd, pushforward_kernel(rd, gd), (0, 0))
         assert kc.as_dict() == {(0, 0): 1, (1, 1): -1} and kc.rank == 1
 
     def a1_cycle():

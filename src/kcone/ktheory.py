@@ -26,11 +26,12 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import add
 from typing import Iterable, Optional, Sequence
 
 from .linalg import combine
 from .nilpotent import GradingData
-from .repcalc import weyl_dim
+from .repcalc import WeylForms, weyl_dim_from_forms, weyl_forms
 from .rootdata import (
     RootDatum,
     Weight,
@@ -113,26 +114,13 @@ def kclass_from_terms(
     rd: RootDatum,
     terms: Iterable[tuple[Sequence[int], int]],
     rank: Optional[int] = None,
-    folded: Optional[dict[Weight, Weight]] = None,
 ) -> KClass:
-    """Build a KClass, folding every weight to its dominant conjugate.
-
-    folded, when given, memoises the folding across calls: it maps weights
-    to their dominant conjugates and is filled as terms are folded.  A hit
-    returns what dominant_conjugate would, so the class does not depend on
-    what the memo holds.
-    """
-    if folded is None:
-        folded = {}
+    """Build a KClass, folding every weight to its dominant conjugate."""
     acc: dict[Weight, int] = {}
     for w, c in terms:
-        if c == 0:
-            continue
-        w = tuple(w)
-        dw = folded.get(w)
-        if dw is None:
-            dw = folded[w] = dominant_conjugate(rd, w)
-        acc[dw] = acc.get(dw, 0) + c
+        if c:
+            dw = dominant_conjugate(rd, w)
+            acc[dw] = acc.get(dw, 0) + c
     items = tuple(sorted((w, c) for w, c in acc.items() if c))
     return KClass(items, rank)
 
@@ -160,14 +148,33 @@ def std_to_class(rd: RootDatum, lambda_l: Sequence[int], lambda_r: Sequence[int]
     return gamma_class(rd, weight_add(lambda_l, lambda_r))
 
 
-def _alternating_offsets(
+@dataclass(frozen=True)
+class PushforwardKernel:
+    """What pushforward needs from an orbit, built once for many weights.
+
+    offsets is the expanded alternating product
+    prod (1 - e^{-alpha}) prod (1 - e^{+beta}) over alpha in Delta(g[1]) and
+    beta in Delta+(l), as (shift, coefficient) pairs; forms and denominator
+    are weyl_forms of the Levi, whose value at phi is the rank.  where names
+    the orbit in error messages.
+    """
+
+    where: str
+    levi_simple: tuple[int, ...]
+    offsets: tuple[tuple[Weight, int], ...]
+    forms: WeylForms
+    denominator: int
+
+
+def _kernel(
     rd: RootDatum,
+    where: str,
+    levi_simple: Sequence[int],
     subtract_roots: Sequence[Weight],
     add_roots: Sequence[Weight],
-    context: str,
-) -> dict[Weight, int]:
-    """Expansion of prod (1 - e^{-alpha}) prod (1 - e^{+beta}), shift -> coefficient."""
-    _check_subset_cap(len(subtract_roots) + len(add_roots), context)
+) -> PushforwardKernel:
+    """Expand the alternating product after checking the subset cap."""
+    _check_subset_cap(len(subtract_roots) + len(add_roots), f"pushforward on {where}")
     # incremental products over (1 - e^{-alpha}) and (1 - e^{+beta}); merging
     # equal partial sums early keeps the term count far below 2^nroots
     offsets: dict[Weight, int] = {zero_weight(rd.rank): 1}
@@ -176,66 +183,73 @@ def _alternating_offsets(
             step = root if sign > 0 else tuple(-x for x in root)
             shifted = {weight_add(s, step): c for s, c in offsets.items()}
             offsets = combine(1, offsets, 1, shifted)
-    return offsets
+    forms, denominator = weyl_forms(rd, levi_simple)
+    return PushforwardKernel(
+        where, tuple(levi_simple), tuple(offsets.items()), forms, denominator
+    )
 
 
-def pushforward_offsets(rd: RootDatum, gd: GradingData) -> dict[Weight, int]:
-    """The alternating product of the orbit's pushforward, as shift -> coefficient.
-
-    It depends only on the orbit, not on phi: build it once to push many
-    weights forward.  Raises SubsetCapExceededError before expanding it.
-    """
-    return _alternating_offsets(
+def pushforward_kernel(rd: RootDatum, gd: GradingData) -> PushforwardKernel:
+    """The orbit's kernel.  Raises SubsetCapExceededError before expanding it."""
+    return _kernel(
         rd,
+        f"orbit {gd.orbit_id} of {rd.type_label}",
+        gd.levi_simple,
         gd.degree1_roots,
         gd.levi_positive_roots,
-        context=f"pushforward on orbit {gd.orbit_id} of {rd.type_label}",
     )
 
 
 def pushforward(
     rd: RootDatum,
-    gd: GradingData,
+    kernel: PushforwardKernel,
     phi: Sequence[int],
-    offsets: Optional[dict[Weight, int]] = None,
     folded: Optional[dict[Weight, Weight]] = None,
 ) -> KClass:
     """Class of the Levi representation phi pushed along the orbit resolution.
 
-    phi must be dominant for the Levi of the grading.  The rank equals the
-    Levi dimension of phi.  A caller pushing many weights forward on one
-    orbit may pass offsets = pushforward_offsets(rd, gd) and a dict folded
-    that memoises dominant conjugates across calls; neither changes the
-    class.
+    kernel is pushforward_kernel(rd, gd) of the orbit.  phi must be dominant
+    for the Levi of the grading.  The rank is the Levi dimension of phi.
+    folded, when given, memoises dominant conjugates across calls.
+
+    The kernel changes no class: the result is kclass_from_terms(rd,
+    [(phi + s, c) for s, c in offsets], weyl_dim(rd, levi, phi)).  The loop
+    below is kclass_from_terms' own, with the offsets' coefficients nonzero
+    and each fold looked up first in folded, whose hits are what
+    dominant_conjugate would return; weyl_dim evaluates the same weyl_forms
+    of the same Levi that the kernel stores.
     """
     phi = tuple(phi)
     if len(phi) != rd.rank:
         raise ValueError(f"weight {phi} has wrong rank for {rd.type_label}")
-    for i in gd.levi_simple:
+    for i in kernel.levi_simple:
         if phi[i] < 0:
             raise ValueError(
-                f"{phi} is not dominant for the Levi {list(gd.levi_simple)} of orbit {gd.orbit_id}"
+                f"{phi} is not dominant for the Levi {list(kernel.levi_simple)} of {kernel.where}"
             )
-    rank = weyl_dim(rd, gd.levi_simple, phi)
-    if offsets is None:
-        offsets = pushforward_offsets(rd, gd)
-    terms = ((weight_add(phi, s), c) for s, c in offsets.items())
-    return kclass_from_terms(rd, terms, rank, folded)
+    rank = weyl_dim_from_forms(kernel.forms, kernel.denominator, phi)
+    if folded is None:
+        folded = {}
+    acc: dict[Weight, int] = {}
+    for s, c in kernel.offsets:
+        w = tuple(map(add, phi, s))
+        dw = folded.get(w)
+        if dw is None:
+            dw = folded[w] = dominant_conjugate(rd, w)
+        acc[dw] = acc.get(dw, 0) + c
+    return KClass(tuple(sorted(item for item in acc.items() if item[1])), rank)
 
 
 def skyscraper_class(rd: RootDatum, phi: Sequence[int]) -> KClass:
     """Class of the finite-dimensional irreducible V(phi) at the origin.
 
-    Equals the pushforward for the zero orbit, whose Levi is the full group.
+    The pushforward for the zero orbit: the Levi is the whole group and
+    Delta(g[1]) is empty.
     """
-    phi = tuple(phi)
-    if not is_dominant(phi):
-        raise ValueError(f"skyscraper weight {phi} must be dominant")
-    rank = weyl_dim(rd, None, phi)
-    offsets = _alternating_offsets(
-        rd, (), rd.positive_roots, context=f"skyscraper on {rd.type_label}"
+    kernel = _kernel(
+        rd, f"the zero orbit of {rd.type_label}", range(rd.rank), (), rd.positive_roots
     )
-    return kclass_from_terms(rd, ((weight_add(phi, s), c) for s, c in offsets.items()), rank)
+    return pushforward(rd, kernel, phi)
 
 
 # ---------------------------------------------------------------------------
@@ -280,6 +294,7 @@ def hnf_certified_split(
     vectors: Sequence[KClass],
     support_norm_sq,
     certify_norm_sq,
+    norm_memo: Optional[dict[Weight, int]] = None,
 ) -> HnfSplit:
     """Hermite reduction of the integer row lattice spanned by the vectors.
 
@@ -295,7 +310,10 @@ def hnf_certified_split(
     vectors that produced it.  Only unimodular row operations are used, so
     tracked combinations reproduce the rows exactly.  Norms are the ints
     int_norm(w), compared with int_norm_bound of each window: the same
-    tests and the same column order as with Fraction norms.
+    tests and the same column order as with Fraction norms.  norm_memo,
+    when given, memoises int_norm across calls and is filled with every
+    support weight; every call still checks each of its weights for dominance and
+    against its own support window.
 
     Each row waits in a bucket under its leading column, its largest
     (norm^2, lex) weight.  The columns above it are already cleared, and a
@@ -309,6 +327,8 @@ def hnf_certified_split(
     support_norm_sq = Fraction(support_norm_sq)
     support_bound = int_norm_bound(rd, support_norm_sq)
     certify_bound = int_norm_bound(rd, certify_norm_sq)
+    if norm_memo is None:
+        norm_memo = {}
     norm: dict[Weight, int] = {}
     rows: list[_TrackedRow] = []
     for t, kc in enumerate(vectors):
@@ -316,8 +336,11 @@ def hnf_certified_split(
             if w not in norm:
                 if len(w) != rd.rank or not is_dominant(w):
                     raise ValueError(f"class support {w} lies outside the dominant chamber")
-                norm[w] = int_norm(rd, w)
-                if norm[w] > support_bound:
+                n = norm_memo.get(w)
+                if n is None:
+                    n = norm_memo[w] = int_norm(rd, w)
+                norm[w] = n
+                if n > support_bound:
                     raise ValueError(
                         f"class support {w} lies outside the support window "
                         f"norm^2 <= {support_norm_sq}"

@@ -12,8 +12,8 @@ never affects soundness; certification of a basis vector is the exact
 test that its whole support has norm^2 <= N^2.
 
 One call graph: full_basis builds all per-basis state (the windows, each
-orbit's grading and expanded pushforward product, the span-window ball, a
-dominant-conjugate memo) and passes it down full_basis -> orbital_basis ->
+orbit's pushforward kernel, the span-window ball, a dominant-conjugate memo
+and an int_norm memo) and passes it down full_basis -> orbital_basis ->
 spanning_set -> pushforward, and orbital_basis -> hnf_certified_split.
 Every orbit filters the one ball on its Levi nodes, and every window test
 compares rootdata.int_norm(w) with rootdata.int_norm_bound of the window,
@@ -42,14 +42,14 @@ from typing import Sequence
 
 from .ktheory import (
     KClass,
+    PushforwardKernel,
     hnf_certified_split,
     pushforward,
-    pushforward_offsets,
+    pushforward_kernel,
 )
 from .linalg import IntEchelon
 from .nilpotent import (
     ClosurePoset,
-    GradingData,
     NilpotentOrbit,
     classify_orbits,
     closure_poset,
@@ -59,7 +59,6 @@ from .rootdata import (
     RootDatum,
     Weight,
     enumerate_levi_dominant,
-    int_norm,
     int_norm_bound,
     sqrt_upper,
     weight_norm_sq,
@@ -135,8 +134,7 @@ def _windows(rd: RootDatum, bound_sq) -> _Windows:
 
 def spanning_set(
     rd: RootDatum,
-    gd: GradingData,
-    offsets: dict[Weight, int],
+    kernel: PushforwardKernel,
     ball: Sequence[Weight],
     folded: dict[Weight, Weight],
 ) -> list[tuple[Weight, KClass]]:
@@ -147,13 +145,13 @@ def spanning_set(
     basis, and the weights are those of ball that are nonnegative on the
     Levi nodes.  That is, in order, the list enumerate_levi_dominant(rd,
     levi, span window) returns: both are the same set, and a subsequence
-    of a list sorted by (norm^2, lex) is sorted by it.  offsets is
-    pushforward_offsets(rd, gd) and folded a dominant-conjugate memo, both
+    of a list sorted by (norm^2, lex) is sorted by it.  kernel is the
+    orbit's pushforward_kernel and folded a dominant-conjugate memo, both
     passed to pushforward.
     """
-    levi = gd.levi_simple
+    levi = kernel.levi_simple
     return [
-        (phi, pushforward(rd, gd, phi, offsets, folded))
+        (phi, pushforward(rd, kernel, phi, folded))
         for phi in ball
         if all(phi[i] >= 0 for i in levi)
     ]
@@ -164,17 +162,19 @@ def orbital_basis(
     orbit: NilpotentOrbit,
     echelon: IntEchelon,
     win: _Windows,
-    gd: GradingData,
-    offsets: dict[Weight, int],
+    kernel: PushforwardKernel,
     ball: Sequence[Weight],
     folded: dict[Weight, Weight],
+    norm_memo: dict[Weight, int],
 ) -> list[GeometricBasisVector]:
     """Basis of the orbit's K-theory modulo the classes already in echelon.
 
     echelon must span the vectors of every orbit before this one in
     (dimension, id) order, computed in the same windows win; each returned
-    vector is added to it, and no other row is.  gd is grading_data(rd,
-    orbit); offsets, ball and folded are passed to spanning_set.
+    vector is added to it, and no other row is.  kernel, ball and folded
+    are passed to spanning_set; norm_memo is an int_norm memo passed to
+    hnf_certified_split, which fills it with every support weight, so it
+    also serves the certification check.
 
     Working modulo the boundary only needs the strata strictly below the
     orbit in the closure order; they all come earlier, since a boundary
@@ -189,7 +189,7 @@ def orbital_basis(
     vectors anyway; the shared echelon makes it hold by construction.
     """
     certify_bound = int_norm_bound(rd, win.bound_sq)
-    span = spanning_set(rd, gd, offsets, ball, folded)
+    span = spanning_set(rd, kernel, ball, folded)
     # drop exact duplicates up front; they contribute nothing to the lattice
     seen: set[KClass] = set()
     candidates: list[tuple[Weight, KClass]] = []
@@ -198,7 +198,7 @@ def orbital_basis(
             seen.add(kc)
             candidates.append((phi, kc))
     split = hnf_certified_split(
-        rd, [kc for _, kc in candidates], win.support_sq, win.bound_sq
+        rd, [kc for _, kc in candidates], win.support_sq, win.bound_sq, norm_memo
     )
 
     vectors = []
@@ -211,7 +211,7 @@ def orbital_basis(
         rank = sum(n * candidates[t][1].rank for t, n in tracked.combination)
         kc = KClass(tracked.kclass.coeffs, rank)
         if certified:
-            assert all(int_norm(rd, w) <= certify_bound for w, _ in kc.coeffs)
+            assert all(norm_memo[w] <= certify_bound for w, _ in kc.coeffs)
         vectors.append(
             GeometricBasisVector(
                 orbit_id=orbit.id,
@@ -230,23 +230,23 @@ def full_basis(rd: RootDatum, bound_sq) -> GeometricBasis:
     """Geometric basis for every orbit, by induction over the closure order.
 
     This call builds all per-basis and per-orbit state: the windows, each
-    orbit's grading and pushforward offsets, the span-window ball and the
-    fold memo; all of it is dropped when the call returns.  Expanding an
-    orbit's offsets checks its subset cap first, so every cap is checked
+    orbit's pushforward kernel, the span-window ball, the fold memo and the
+    int_norm memo; all of it is dropped when the call returns.  Building a
+    kernel checks its orbit's subset cap first, so every cap is checked
     once, before the ball, which can dwarf the check, is enumerated.
     """
     win = _windows(rd, bound_sq)
     orbits = tuple(classify_orbits(rd))
     poset = closure_poset(rd, orbits)
-    gds = [grading_data(rd, orbit) for orbit in orbits]
-    offsets = [pushforward_offsets(rd, gd) for gd in gds]
+    kernels = [pushforward_kernel(rd, grading_data(rd, orbit)) for orbit in orbits]
     ball = enumerate_levi_dominant(rd, (), win.span_sq)
     folded: dict[Weight, Weight] = {}
+    norm_memo: dict[Weight, int] = {}
     strata: dict[int, tuple[GeometricBasisVector, ...]] = {}
     echelon = IntEchelon()
-    for orbit, gd, offs in zip(orbits, gds, offsets):  # by (dimension, id)
+    for orbit, kernel in zip(orbits, kernels):  # by (dimension, id)
         strata[orbit.id] = tuple(
-            orbital_basis(rd, orbit, echelon, win, gd, offs, ball, folded)
+            orbital_basis(rd, orbit, echelon, win, kernel, ball, folded, norm_memo)
         )
     return GeometricBasis(
         type_label=rd.type_label,

@@ -15,9 +15,11 @@ convention fails loudly rather than silently.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
+from operator import mul
 from typing import Iterable, Mapping, Optional, Sequence
 
 from .linalg import combine
@@ -49,37 +51,67 @@ class MultiplicityVector:
         return self.entries.get(tuple(hw), 0)
 
 
-def weyl_dim(rd: RootDatum, levi: Optional[Iterable[int]], hw) -> int:
-    """Dimension of the Levi irreducible with highest weight hw.
+WeylForms = tuple[tuple[tuple[int, ...], int], ...]
+
+
+def weyl_forms(rd: RootDatum, levi: Optional[Iterable[int]]) -> tuple[WeylForms, int]:
+    """The Weyl dimension formula of a Levi as integer linear forms.
 
     levi is a set of simple-root indices (None means the full group; the
-    empty set is the torus, where every character has dimension 1).  hw must
-    be dominant for the Levi: nonnegative pairing with each Levi coroot.
-
-    Computed in integers as prod (2 hw + 2 rho_l, alpha) / prod (2 rho_l, alpha)
+    empty set is the torus).  The dimension of the Levi irreducible with
+    highest weight hw is prod (2 hw + 2 rho_l, alpha) / prod (2 rho_l, alpha)
     over the Levi's positive roots alpha, where 2 rho_l is their sum.  The
     form D * cartan^{-1} pairs a weight lam in fundamental coordinates with
-    alpha = sum_k c_k alpha_k as sum_k c_k d_k lam_k.
+    alpha = sum_k c_k alpha_k as sum_k c_k d_k lam_k, so each factor of the
+    numerator is the linear form sum_k (2 c_k d_k) hw_k plus the constant
+    (2 rho_l, alpha).  Returns one (coefficients, constant) pair per root,
+    and the denominator: the product of the constants.  They depend only on
+    the Levi, so a caller evaluating many weights builds them once.
     """
     levi_set = frozenset(range(rd.rank)) if levi is None else frozenset(levi)
     for i in levi_set:
         if not 0 <= i < rd.rank:
             raise ValueError(f"Levi index {i} out of range for rank {rd.rank}")
-        if hw[i] < 0:
-            raise ValueError(f"weight {tuple(hw)} is not dominant for the Levi {sorted(levi_set)}")
     roots = [
         (root, [c * d for c, d in zip(coeffs, rd.symmetrizer)])
         for root, coeffs in zip(rd.positive_roots, rd.positive_root_coeffs)
         if all(i in levi_set for i, c in enumerate(coeffs) if c)
     ]
     two_rho = [sum(col) for col in zip(*(root for root, _ in roots))]
-    num = den = 1
-    for _, cd in roots:
-        num *= sum(x * (2 * h + r) for x, h, r in zip(cd, hw, two_rho))
-        den *= sum(x * r for x, r in zip(cd, two_rho))
-    dim, rest = divmod(num, den)
-    assert rest == 0 and dim > 0, f"Weyl dimension {num}/{den} is not a positive integer"
+    forms = tuple(
+        (tuple(2 * x for x in cd), sum(x * r for x, r in zip(cd, two_rho)))
+        for _, cd in roots
+    )
+    return forms, math.prod(const for _, const in forms)
+
+
+def weyl_dim_from_forms(forms: WeylForms, denominator: int, hw: Sequence[int]) -> int:
+    """Evaluate weyl_forms at hw, asserting a positive integer quotient."""
+    num = 1
+    for coeffs, const in forms:
+        num *= const + sum(map(mul, coeffs, hw))
+    dim, rest = divmod(num, denominator)
+    assert rest == 0 and dim > 0, f"Weyl dimension {num}/{denominator} is not a positive integer"
     return dim
+
+
+def weyl_dim(rd: RootDatum, levi: Optional[Iterable[int]], hw) -> int:
+    """Dimension of the Levi irreducible with highest weight hw.
+
+    levi is a set of simple-root indices (None means the full group; the
+    empty set is the torus, where every character has dimension 1).  hw must
+    have the rank's length and be dominant for the Levi: nonnegative pairing
+    with each Levi coroot.  Evaluates weyl_forms(rd, levi) at hw.
+    """
+    hw = tuple(hw)
+    if len(hw) != rd.rank:
+        raise ValueError(f"weight {hw} has wrong rank for {rd.type_label}")
+    levi_set = frozenset(range(rd.rank)) if levi is None else frozenset(levi)
+    forms, denominator = weyl_forms(rd, levi_set)
+    for i in levi_set:
+        if hw[i] < 0:
+            raise ValueError(f"weight {hw} is not dominant for the Levi {sorted(levi_set)}")
+    return weyl_dim_from_forms(forms, denominator, hw)
 
 
 def _root_coefficients(rd: RootDatum, w: Sequence[int]) -> Optional[tuple[int, ...]]:

@@ -300,6 +300,8 @@ def build_root_datum(type_label: str) -> RootDatum:
 def dominant_conjugate(rd: RootDatum, w: Sequence[int]) -> Weight:
     """The unique dominant weight on the Weyl orbit of w."""
     cur = tuple(w)
+    if len(cur) != rd.rank:
+        raise ValueError(f"weight {cur} has wrong rank for {rd.type_label}")
     while True:
         for i, x in enumerate(cur):
             if x < 0:

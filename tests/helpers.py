@@ -558,15 +558,16 @@ def reference_spanning_set(rd, gd, bound_sq):
     """The orbit's spanning set as orbitalg.spanning_set builds it in full_basis.
 
     The Levi weights come from their own per-Levi enumeration of the span
-    window and each is pushed forward alone, so no ball, offsets or fold
-    memo is shared with the code under test.
+    window and each is pushed forward without a fold memo, with a kernel of
+    its own, so no ball, kernel or memo is shared with the code under test.
     """
-    from kcone import enumerate_levi_dominant, pushforward
+    from kcone import enumerate_levi_dominant, pushforward, pushforward_kernel
     from kcone.orbitalg import _windows
 
     span_sq = _windows(rd, bound_sq).span_sq
+    kernel = pushforward_kernel(rd, gd)
     return [
-        (phi, pushforward(rd, gd, phi))
+        (phi, pushforward(rd, kernel, phi))
         for phi in enumerate_levi_dominant(rd, gd.levi_simple, span_sq)
     ]
 

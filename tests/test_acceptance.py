@@ -22,6 +22,7 @@ from kcone import (
     kclass_add,
     module_to_kclass,
     pushforward,
+    pushforward_kernel,
     restrict_kclass,
     skyscraper_class,
     weyl_dim,
@@ -106,7 +107,7 @@ def test_criterion_3_worked_pushforward_values():
     assert brute_pushforward(rd, gd, (0, 0)) == expected_sub
     assert brute_pushforward(rd, grading_data(rd, orbits[0]), (0, 0)) == expected_sky
 
-    kc = pushforward(rd, gd, (0, 0))
+    kc = pushforward(rd, pushforward_kernel(rd, gd), (0, 0))
     assert kc.as_dict() == expected_sub and kc.rank == 1
     assert skyscraper_class(rd, (0, 0)).as_dict() == expected_sky
     report(3, "A2 subregular pushforward and skyscraper match exactly")

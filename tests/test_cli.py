@@ -5,9 +5,11 @@ import sys
 import time
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from kcone import cli, orbitalg
-from kcone.cli import main
+from kcone.cli import _json_text, main
 
 
 def run_cli(capsys, *argv):
@@ -311,3 +313,59 @@ def test_json_round_trip(capsys, tmp_path):
     code, out, _ = run_cli(capsys, "acycle", "A1", "--bound-sq", "16", "--module", str(module))
     assert code == 0
     assert json.loads(out)["variety"] == [0]
+
+
+JSON_SCALARS = (
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.integers(min_value=-(2**80), max_value=2**80)
+    | st.text()
+)
+JSON_PAYLOADS = st.recursive(
+    JSON_SCALARS,
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.text(max_size=6), inner, max_size=4),
+    max_leaves=30,
+)
+
+
+@given(JSON_PAYLOADS)
+@example({"label": 'caf\u00e9 "q" \\ \x00\x1f\n\t\u2028 \U0001d11e', "n": [-7, 2**70, True, None]})
+@example({"": [], "e": {}, "l": [[], {}, [[]]], "f": False})
+@settings(max_examples=200, deadline=None)
+def test_json_writer_matches_json_dumps(payload):
+    assert _json_text(payload) == json.dumps(payload, indent=2)
+
+
+@pytest.mark.parametrize("bad", [1.5, (1, 2), {1: "x"}, {None: 0}, [{"a": [0.5]}], {"t": (0,)}])
+def test_json_writer_rejects_other_types(bad):
+    with pytest.raises(TypeError):
+        _json_text(bad)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        *(
+            ["orbits", t]
+            for t in ["A1", "A2", "A3", "A4", "B2", "B3", "C3", "C4", "D4", "G2", "A1xA1", "A1xA1xA1"]
+        ),
+        ["basis", "A2", "--bound-sq", "18", "--orbit", "1"],
+        ["basis", "B2", "--bound-sq", "8", "--orbit", "0"],
+        ["pushforward", "A2", "--orbit", "1", "--phi", "0,0"],
+        ["pushforward", "G2", "--orbit", "0", "--phi", "1,2"],
+        ["acycle", "A2", "--bound-sq", "18"],
+    ],
+    ids=" ".join,
+)
+def test_json_stdout_is_json_dumps_indent_2(capsys, tmp_path, argv):
+    if argv[0] == "acycle":
+        module = tmp_path / "module.json"
+        module.write_text(
+            json.dumps({"standards": [{"coef": 2, "lambda_l": [1, 0], "lambda_r": [0, 1]}]})
+        )
+        argv = [*argv, "--module", str(module)]
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    assert out == json.dumps(json.loads(out), indent=2) + "\n"

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -16,13 +17,22 @@ from kcone import (
     kclass_from_terms,
     kclass_scale,
     pushforward,
+    pushforward_kernel,
     skyscraper_class,
     std_to_class,
+    weyl_dim,
 )
 from kcone.ktheory import _subset_cap_bits, hnf_certified_split
 from kcone.orbitalg import _windows
 
-from helpers import brute_dominant, brute_pushforward, reference_spanning_set, weyl_group
+from helpers import (
+    brute_dominant,
+    brute_pushforward,
+    pushforward_reference,
+    reference_spanning_set,
+    weyl_dim_fractions,
+    weyl_group,
+)
 
 
 def test_gamma_class_examples(a1, a2):
@@ -42,23 +52,23 @@ def test_pushforward_a1_regular(a1):
     orbits = classify_orbits(a1)
     gd = grading_data(a1, orbits[1])
     for n in range(4):
-        kc = pushforward(a1, gd, (n,))
+        kc = pushforward(a1, pushforward_kernel(a1, gd), (n,))
         assert kc.as_dict() == {(n,): 1} and kc.rank == 1
     # Levi is the torus: negative weights allowed, folded on output
-    assert pushforward(a1, gd, (-3,)).as_dict() == {(3,): 1}
+    assert pushforward(a1, pushforward_kernel(a1, gd), (-3,)).as_dict() == {(3,): 1}
 
 
 def test_pushforward_a2_subregular(a2):
     orbits = classify_orbits(a2)
     gd = grading_data(a2, orbits[1])
-    kc = pushforward(a2, gd, (0, 0))
+    kc = pushforward(a2, pushforward_kernel(a2, gd), (0, 0))
     assert kc.as_dict() == {(0, 0): 1, (1, 1): -1}
     assert kc.rank == 1
 
 
 def test_pushforward_a1_zero_orbit(a1):
     gd = grading_data(a1, classify_orbits(a1)[0])
-    kc = pushforward(a1, gd, (0,))
+    kc = pushforward(a1, pushforward_kernel(a1, gd), (0,))
     assert kc.as_dict() == {(0,): 1, (2,): -1}
     assert kc.rank == 1
 
@@ -82,19 +92,38 @@ def test_skyscraper_equals_zero_orbit_pushforward(a2, b2):
     for rd in (a2, b2):
         gd = grading_data(rd, classify_orbits(rd)[0])
         for phi in [(0,) * rd.rank, (1, 0), (1, 1)]:
-            assert pushforward(rd, gd, phi) == skyscraper_class(rd, phi)
+            kernel = pushforward_kernel(rd, gd)
+            assert pushforward(rd, kernel, phi) == skyscraper_class(rd, phi)
 
 
-@pytest.mark.parametrize("label", ["A2", "B2"])
+@pytest.mark.parametrize("label", ["A1", "A2", "A3", "B2", "B3", "C3", "G2", "A1xA1xA1"])
 def test_pushforward_matches_brute_force_enumeration(label):
+    # the kernel's class against the per-phi reference and its rank against
+    # the Fraction Weyl formula, on seeded Levi-dominant phi that often lie
+    # on a wall of the Levi chamber; on rank 2 also against the explicit
+    # enumeration of all subset pairs
     rd = build_root_datum(label)
-    orbits = classify_orbits(rd)
-    for orbit in orbits:
+    rng = random.Random(label)
+    for orbit in classify_orbits(rd):
         gd = grading_data(rd, orbit)
-        for phi in [(0,) * rd.rank, (1, 0), (0, 2)]:
+        kernel = pushforward_kernel(rd, gd)
+        phis = [(0,) * rd.rank, (1, 0), (0, 2)] if rd.rank == 2 else [(0,) * rd.rank]
+        for _ in range(6):
+            phis.append(
+                tuple(
+                    rng.choice((0, rng.randint(1, 4))) if i in gd.levi_simple
+                    else rng.randint(-4, 4)
+                    for i in range(rd.rank)
+                )
+            )
+        for phi in phis:
             if any(phi[i] < 0 for i in gd.levi_simple):
                 continue
-            assert pushforward(rd, gd, phi).as_dict() == brute_pushforward(rd, gd, phi)
+            kc = pushforward(rd, kernel, phi)
+            assert kc == pushforward_reference(rd, gd, phi), phi
+            assert kc.rank == weyl_dim_fractions(rd, gd.levi_simple, phi), phi
+            if rd.rank == 2:
+                assert kc.as_dict() == brute_pushforward(rd, gd, phi), phi
 
 
 @pytest.mark.parametrize("label", ["A1", "A2", "B2"])
@@ -118,21 +147,34 @@ def test_pushforward_validation(a2):
     orbits = classify_orbits(a2)
     gd = grading_data(a2, orbits[0])  # Levi = full group
     with pytest.raises(ValueError, match="not dominant"):
-        pushforward(a2, gd, (-1, 0))
+        pushforward(a2, pushforward_kernel(a2, gd), (-1, 0))
     with pytest.raises(ValueError, match="rank"):
-        pushforward(a2, gd, (1, 0, 0))
+        pushforward(a2, pushforward_kernel(a2, gd), (1, 0, 0))
     with pytest.raises(ValueError):
         skyscraper_class(a2, (0, -1))
+
+
+def test_weights_of_the_wrong_length_raise(a2):
+    # each of these once answered: a dimension 2, a class truncated to rank
+    # 2, a class on a rank-1 weight, and an IndexError
+    for call in (
+        lambda: weyl_dim(a2, (0,), (1, 0, 5)),
+        lambda: skyscraper_class(a2, (1, 0, 2)),
+        lambda: gamma_class(a2, (1,)),
+        lambda: skyscraper_class(a2, (1,)),
+    ):
+        with pytest.raises(ValueError, match="wrong rank for A2"):
+            call()
 
 
 def test_subset_cap(monkeypatch, b2):
     monkeypatch.setenv("KCONE_MAX_SUBSET_BITS", "2")
     gd = grading_data(b2, classify_orbits(b2)[0])
     with pytest.raises(SubsetCapExceededError, match="2\\^4"):
-        pushforward(b2, gd, (0, 0))
+        pushforward(b2, pushforward_kernel(b2, gd), (0, 0))
     monkeypatch.setenv("KCONE_MAX_SUBSET_BITS", "not-a-number")
     with pytest.raises(ValueError):
-        pushforward(b2, gd, (0, 0))
+        pushforward(b2, pushforward_kernel(b2, gd), (0, 0))
 
 
 def test_folding_weyl_invariance_brute(a2):
@@ -193,14 +235,19 @@ def test_subset_cap_must_be_nonnegative(monkeypatch):
 def test_hnf_split_rejects_out_of_window(a1):
     # (8,) has norm^2 32 > 16; (2,) and (4,) fit
     inside = KClass((((2,), 1), ((4,), -1)))
-    assert hnf_certified_split(a1, [inside], 16, 16).certified
-    with pytest.raises(ValueError, match="outside the support window"):
-        hnf_certified_split(a1, [inside, KClass((((8,), 1),))], 16, 16)
+    memo = {}
+    assert hnf_certified_split(a1, [inside], 16, 16, memo).certified
+    assert hnf_certified_split(a1, [KClass((((8,), 1),))], 64, 64, memo).certified
+    assert memo == {(2,): 4, (4,): 16, (8,): 64}  # int_norm: norm_scale 2 times norm^2
+    # a weight the memo already holds is still checked against each window
+    for norm_memo in (None, memo):
+        with pytest.raises(ValueError, match="outside the support window"):
+            hnf_certified_split(a1, [inside, KClass((((8,), 1),))], 16, 16, norm_memo)
 
 
 def test_hnf_split_rejects_non_dominant(a1, a2):
     with pytest.raises(ValueError, match="outside the dominant chamber"):
-        hnf_certified_split(a1, [KClass((((-2,), 1),))], 16, 16)
+        hnf_certified_split(a1, [KClass((((-2,), 1),))], 16, 16, {(-2,): 8})
     with pytest.raises(ValueError, match="outside the dominant chamber"):
         hnf_certified_split(a2, [KClass((((1, -1), 1),))], 16, 16)
     # a weight of the wrong rank is not in the window either

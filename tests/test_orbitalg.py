@@ -14,10 +14,11 @@ from kcone import (
     kclass_scale,
     norm_constant,
     pushforward,
+    pushforward_kernel,
     weyl_dim,
 )
 from kcone import ktheory, orbitalg
-from kcone.ktheory import KClass, pushforward_offsets
+from kcone.ktheory import KClass
 from kcone.linalg import IntEchelon
 from kcone.orbitalg import orbital_basis, spanning_set
 
@@ -37,9 +38,9 @@ def test_norm_constant_values(a1, a2, b2):
 
 
 def own_spanning_set(rd, gd, bound_sq):
-    """spanning_set on a ball, offsets and fold memo of its own."""
+    """spanning_set on a ball, kernel and fold memo of its own."""
     ball = enumerate_levi_dominant(rd, (), orbitalg._windows(rd, bound_sq).span_sq)
-    return spanning_set(rd, gd, pushforward_offsets(rd, gd), ball, {})
+    return spanning_set(rd, pushforward_kernel(rd, gd), ball, {})
 
 
 def test_spanning_set_a1_regular(a1):
@@ -131,11 +132,11 @@ def test_combination_reproduces_kclass(basis_cache):
         rd = build_root_datum(label)
         basis = basis_cache(label, bound)
         for orbit in basis.orbits:
-            gd = grading_data(rd, orbit)
+            kernel = pushforward_kernel(rd, grading_data(rd, orbit))
             for v in basis.strata[orbit.id]:
                 acc = KClass(())
                 for phi, n in v.combination:
-                    acc = kclass_add(acc, kclass_scale(pushforward(rd, gd, phi), n))
+                    acc = kclass_add(acc, kclass_scale(pushforward(rd, kernel, phi), n))
                 assert acc.coeffs == v.kclass.coeffs
 
 
@@ -249,7 +250,7 @@ def test_spanning_set_on_shared_ball_matches_reference(label, bound):
     stride = 5 if label == "C3" else 1
     for orbit in classify_orbits(rd):
         gd = grading_data(rd, orbit)
-        span = spanning_set(rd, gd, pushforward_offsets(rd, gd), ball, folded)
+        span = spanning_set(rd, pushforward_kernel(rd, gd), ball, folded)
         assert [phi for phi, _ in span] == enumerate_levi_dominant(rd, gd.levi_simple, span_sq)
         for phi, kc in span[::stride]:
             assert kc == pushforward_reference(rd, gd, phi)
@@ -258,11 +259,11 @@ def test_spanning_set_on_shared_ball_matches_reference(label, bound):
 def test_orbital_basis_grows_echelon_by_returned_vectors(a2):
     win = orbitalg._windows(a2, 18)
     ball = enumerate_levi_dominant(a2, (), win.span_sq)
-    folded = {}
+    folded, norm_memo = {}, {}
     ech = IntEchelon()
     for orbit in classify_orbits(a2):
-        gd = grading_data(a2, orbit)
-        state = (win, gd, pushforward_offsets(a2, gd), ball, folded)
+        kernel = pushforward_kernel(a2, grading_data(a2, orbit))
+        state = (win, kernel, ball, folded, norm_memo)
         before = len(ech)
         vectors = orbital_basis(a2, orbit, ech, *state)
         assert len(ech) == before + len(vectors)
@@ -332,7 +333,7 @@ def test_product_type_pipeline():
     assert len(regular) == 4  # component group of order 4
     # a class living on one of the two incomparable middle orbits
     gd = grading_data(rd, classify_orbits(rd)[1])
-    pf = pushforward(rd, gd, (0, 0))
+    pf = pushforward(rd, pushforward_kernel(rd, gd), (0, 0))
     assert pf.as_dict() == {(0, 0): 1, (2, 0): -1}
     cyc = associated_cycle(
         express_in_geometric_basis(rd, KClass(pf.coeffs), basis), basis.poset
