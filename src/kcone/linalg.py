@@ -63,7 +63,8 @@ class IntEchelon:
         as the scan would skip it.  Both routes perform the same
         eliminations in the same order, so they return the same row.  Each
         elimination is combine(a, row, b, base) done in place on the row,
-        so that the keys it brings in are seen in the same pass.
+        so that the keys it brings in are seen in the same pass.  The row is
+        a copy of the argument; stored rows are only read.
         """
         row = {k: x for k, x in row.items() if x}
         by_pivot = self._by_pivot
@@ -108,6 +109,42 @@ class IntEchelon:
         return len(self._by_pivot)
 
 
+class Factorization:
+    """The columns of solve, eliminated once; solve(target) answers one target.
+
+    Construction puts every column into one IntEchelon and runs the
+    dependence check; each solve call reduces one target against it.  The
+    call only reads the stored rows: IntEchelon.reduce copies its argument
+    and eliminates in that copy, never in a stored row, and the object has
+    no other state.  So every call sees the echelon exactly as construction
+    left it, and factorization.solve(t) performs the same eliminations as
+    the reduction inside a fresh solve(columns, t) and returns the same
+    (numerators, denominator), whatever targets were answered before.
+    """
+
+    def __init__(self, columns: Sequence[Mapping]) -> None:
+        """Raises ValueError when the columns are linearly dependent."""
+        self._k = len(columns)
+        ech = IntEchelon()
+        for j, col in enumerate(columns):
+            row = {(0, w): x for w, x in col.items()}
+            row[(1, j)] = 1
+            ech.add(row)
+        if sum(1 for p in ech._by_pivot if p[0] == 0) < self._k:
+            raise ValueError("columns are linearly dependent")
+        self._echelon = ech
+
+    def solve(self, target: Mapping) -> Optional[tuple[list[int], int]]:
+        """See solve; None when target is outside the span of the columns."""
+        row = {(0, w): x for w, x in target.items()}
+        row[(2,)] = 1
+        red = self._echelon.reduce(row)
+        if any(key[0] == 0 for key in red):
+            return None
+        sign = 1 if red[(2,)] > 0 else -1
+        return [-sign * red.get((1, j), 0) for j in range(self._k)], sign * red[(2,)]
+
+
 def solve(
     columns: Sequence[Mapping], target: Mapping
 ) -> Optional[tuple[list[int], int]]:
@@ -115,7 +152,9 @@ def solve(
 
     Returns None when target is outside the span of the columns and raises
     ValueError when the columns are linearly dependent.  The denominator is
-    positive and shares no factor with all numerators at once.
+    positive and shares no factor with all numerators at once.  This is
+    Factorization(columns).solve(target); hold the Factorization to answer
+    several targets over the same columns.
 
     Each column c_j becomes the row with entries c_j[w] at (0, w) and 1 at
     (1, j); the target becomes t[w] at (0, w) and 1 at the marker (2,).  The
@@ -131,18 +170,4 @@ def solve(
     t = sum (x_j / s) c_j and the unit block holds -x.  A dependent column
     reduces to 0 in the class block, so its pivot falls in the unit block.
     """
-    k = len(columns)
-    ech = IntEchelon()
-    for j, col in enumerate(columns):
-        row = {(0, w): x for w, x in col.items()}
-        row[(1, j)] = 1
-        ech.add(row)
-    if sum(1 for p in ech._by_pivot if p[0] == 0) < k:
-        raise ValueError("columns are linearly dependent")
-    row = {(0, w): x for w, x in target.items()}
-    row[(2,)] = 1
-    red = ech.reduce(row)
-    if any(key[0] == 0 for key in red):
-        return None
-    sign = 1 if red[(2,)] > 0 else -1
-    return [-sign * red.get((1, j), 0) for j in range(k)], sign * red[(2,)]
+    return Factorization(columns).solve(target)

@@ -1,23 +1,33 @@
 import dataclasses
+import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kcone import (
     BoundTooSmallError,
     InternalConsistencyError,
     KClass,
     VirtualModule,
+    assocvar,
     associated_cycle,
     build_root_datum,
     enumerate_dominant,
     express_in_geometric_basis,
+    full_basis,
     gamma_class,
     kclass_add,
+    kclass_scale,
     module_to_kclass,
     skyscraper_class,
+    weight_sub,
     weyl_dim,
 )
+from kcone.linalg import IntEchelon, solve
+
+from helpers import solve_fractions, weyl_orbit
 
 
 def trivial_module_a1():
@@ -144,37 +154,164 @@ def test_support_just_outside_a_rational_bound_raises(basis_cache, a1):
         express_in_geometric_basis(a1, gamma_class(a1, (5,)), basis)
 
 
+def crippled(basis):
+    """The basis without its regular stratum: gamma classes leave the span."""
+    return dataclasses.replace(basis, strata={0: basis.strata[0], 1: ()})
+
+
+def doubled(basis):
+    """The basis with a copy of a regular vector: the certified rows are dependent."""
+    extra = dataclasses.replace(basis.strata[1][0], index=9)
+    return dataclasses.replace(basis, strata={0: basis.strata[0], 1: basis.strata[1] + (extra,)})
+
+
+def halved_stratum(basis):
+    """The regular stratum with its first class doubled: coordinates become halves."""
+    scaled = dataclasses.replace(basis.strata[1][0], kclass=KClass((((0,), 2),), 1))
+    return (scaled, basis.strata[1][1])
+
+
+def non_integer(basis):
+    return dataclasses.replace(basis, strata={0: basis.strata[0], 1: halved_stratum(basis)})
+
+
+TAMPERED = [
+    (crippled, BoundTooSmallError, "not in the certified span"),
+    (doubled, InternalConsistencyError, "dependent"),
+    (non_integer, InternalConsistencyError, "not an integer"),
+]
+
+
 def test_residual_raises_bound_error(basis_cache, a1):
     # degrade the basis by dropping the regular stratum: gamma classes are
     # no longer in the certified span
-    basis = basis_cache("A1", 16)
-    crippled = dataclasses.replace(basis, strata={0: basis.strata[0], 1: ()})
     with pytest.raises(BoundTooSmallError, match="not in the certified span"):
-        express_in_geometric_basis(a1, gamma_class(a1, (0,)), crippled)
+        express_in_geometric_basis(a1, gamma_class(a1, (0,)), crippled(basis_cache("A1", 16)))
 
 
 def test_dependent_certified_vectors_detected(basis_cache, a1):
-    basis = basis_cache("A1", 16)
-    doubled = {
-        0: basis.strata[0],
-        1: basis.strata[1] + (dataclasses.replace(basis.strata[1][0], index=9),),
-    }
-    broken = dataclasses.replace(basis, strata=doubled)
     with pytest.raises(InternalConsistencyError, match="dependent"):
-        express_in_geometric_basis(a1, gamma_class(a1, (0,)), broken)
+        express_in_geometric_basis(a1, gamma_class(a1, (0,)), doubled(basis_cache("A1", 16)))
 
 
 def test_non_integer_expansion_detected(basis_cache, a1):
-    basis = basis_cache("A1", 16)
-    scaled = dataclasses.replace(
-        basis.strata[1][0],
-        kclass=KClass((((0,), 2),), 1),
-    )
-    broken = dataclasses.replace(
-        basis, strata={0: basis.strata[0], 1: (scaled, basis.strata[1][1])}
-    )
     with pytest.raises(InternalConsistencyError, match="not an integer"):
-        express_in_geometric_basis(a1, gamma_class(a1, (0,)), broken)
+        express_in_geometric_basis(a1, gamma_class(a1, (0,)), non_integer(basis_cache("A1", 16)))
+
+
+def test_reused_elimination_never_goes_stale(basis_cache, a1):
+    basis = basis_cache("A1", 16)
+    gamma = gamma_class(a1, (0,))
+
+    def named(b):
+        return {(v.orbit_id, v.index): n for v, n in express_in_geometric_basis(a1, gamma, b).items()}
+
+    assert named(basis) == {(1, 0): 1}
+    for tamper, error, match in TAMPERED:
+        with pytest.raises(error, match=match):
+            express_in_geometric_basis(a1, gamma, tamper(basis))
+    # same vector objects as the good basis until strata[1] is reassigned in place
+    edited = dataclasses.replace(basis, strata=dict(basis.strata))
+    assert named(edited) == {(1, 0): 1}
+    edited.strata[1] = halved_stratum(basis)
+    with pytest.raises(InternalConsistencyError, match="not an integer"):
+        express_in_geometric_basis(a1, gamma, edited)
+    assert named(basis) == {(1, 0): 1}
+
+
+DIFFERENTIAL_BASES = (("A2", 50), ("B2", 16), ("G2", 8))
+
+
+def in_bound_sums(label, bound_sq):
+    """Every weight of norm^2 <= bound_sq: the Weyl orbits of the dominant ones."""
+    rd = build_root_datum(label)
+    return sorted({w for d in enumerate_dominant(rd, bound_sq) for w in weyl_orbit(rd, d)})
+
+
+SUMS = {label: in_bound_sums(label, bound) for label, bound in DIFFERENTIAL_BASES}
+COEFFICIENTS = (-2, -1, 1, 2)
+
+
+def standard_terms(coefs, sums, shifts):
+    """(coefficient, lambda_l, lambda_r) with lambda_l + lambda_r = each sum."""
+    return tuple((c, lam_l, weight_sub(gamma, lam_l)) for c, gamma, lam_l in zip(coefs, sums, shifts))
+
+
+def seeded_terms(rng, label):
+    """1-4 standard terms, coefficients +-1 or +-2, inside the basis bound."""
+    n = rng.randint(1, 4)
+    sums = [rng.choice(SUMS[label]) for _ in range(n)]
+    shifts = [tuple(rng.randint(-5, 5) for _ in gamma) for gamma in sums]
+    return standard_terms([rng.choice(COEFFICIENTS) for _ in range(n)], sums, shifts)
+
+
+@st.composite
+def interleaved_queries(draw):
+    """A few queries whose bases cycle through DIFFERENTIAL_BASES."""
+    start = draw(st.integers(0, 2))
+    queries = []
+    for i in range(draw(st.integers(1, 6))):
+        label, bound = DIFFERENTIAL_BASES[(start + i) % 3]
+        n = draw(st.integers(1, 4))
+        coefs = draw(st.lists(st.sampled_from(COEFFICIENTS), min_size=n, max_size=n))
+        sums = draw(st.lists(st.sampled_from(SUMS[label]), min_size=n, max_size=n))
+        shift = st.tuples(*[st.integers(-5, 5)] * len(sums[0]))
+        shifts = draw(st.lists(shift, min_size=n, max_size=n))
+        queries.append((label, bound, standard_terms(coefs, sums, shifts)))
+    return queries
+
+
+def fresh_coords(certified, kc):
+    """Coordinates from a fresh linalg.solve on the certified rows."""
+    numerators, denominator = solve([v.kclass.as_row() for v in certified], kc.as_row())
+    assert all(x % denominator == 0 for x in numerators)
+    return {v: x // denominator for v, x in zip(certified, numerators) if x}
+
+
+@given(interleaved_queries())
+@settings(max_examples=60, deadline=None, derandomize=True)
+def test_reused_elimination_matches_a_fresh_solve(basis_cache, queries):
+    for label, bound, terms in queries:
+        rd = build_root_datum(label)
+        basis = basis_cache(label, bound)
+        certified = basis.certified_vectors()
+        kc = module_to_kclass(rd, VirtualModule(terms=terms))
+        coords = express_in_geometric_basis(rd, kc, basis)
+        # every switch of basis replaced the one slot
+        assert all(a is b for a, b in zip(assocvar._slot[0], certified, strict=True))
+        assert coords == fresh_coords(certified, kc)
+        total = KClass(())
+        for v, n in coords.items():
+            total = kclass_add(total, kclass_scale(v.kclass, n))
+        assert total.coeffs == kc.coeffs
+
+
+@pytest.mark.parametrize("label,bound", DIFFERENTIAL_BASES)
+def test_expansion_matches_fraction_reference(basis_cache, label, bound):
+    rd = build_root_datum(label)
+    basis = basis_cache(label, bound)
+    certified = basis.certified_vectors()
+    rng = random.Random(f"{label}@{bound}")
+    for _ in range(2):
+        kc = module_to_kclass(rd, VirtualModule(terms=seeded_terms(rng, label)))
+        keys = sorted({w for v in certified for w in v.kclass.support()} | set(kc.support()))
+        columns = [[v.kclass.as_dict().get(w, 0) for w in keys] for v in certified]
+        expected = solve_fractions(columns, [kc.as_dict().get(w, 0) for w in keys])
+        coords = express_in_geometric_basis(rd, kc, basis)
+        assert [coords.get(v, 0) for v in certified] == expected
+
+
+def test_certified_columns_are_eliminated_once_per_basis(monkeypatch):
+    rd = build_root_datum("A2")
+    basis = full_basis(rd, 50)  # new vector objects: no earlier query reused
+    added = []
+    add = IntEchelon.add
+    monkeypatch.setattr(IntEchelon, "add", lambda self, row: added.append(1) or add(self, row))
+    rng = random.Random(40)
+    for _ in range(40):
+        kc = module_to_kclass(rd, VirtualModule(terms=seeded_terms(rng, "A2")))
+        express_in_geometric_basis(rd, kc, basis)
+    assert len(added) == len(basis.certified_vectors()) == 54
 
 
 def test_virtual_zero_coordinates_excluded(basis_cache, a1):

@@ -1,3 +1,4 @@
+import copy
 import math
 import random
 from fractions import Fraction
@@ -12,7 +13,7 @@ from kcone import (
     module_to_kclass,
     weight_norm_sq,
 )
-from kcone.linalg import IntEchelon, solve
+from kcone.linalg import Factorization, IntEchelon, solve
 from kcone.repcalc import _root_coefficients
 
 from helpers import (
@@ -38,11 +39,15 @@ def sparse(row, keys, rng=None):
     return {k: x for k, x in zip(keys, row) if x or (rng and rng.random() < 0.3)}
 
 
-def assert_matches_reference(columns, target, keys=None, rng=None):
-    """solve on dict rows against the Fraction reference on dense rows."""
+def assert_matches_reference(columns, target, keys=None, sparse_columns=None, sparse_target=None):
+    """solve on dict rows against the Fraction reference on dense rows.
+
+    The dict rows are given, or else built over keys (default 0..m-1).
+    """
     keys = keys or list(range(len(target)))
-    sparse_columns = [sparse(col, keys, rng) for col in columns]
-    sparse_target = sparse(target, keys, rng)
+    if sparse_columns is None:
+        sparse_columns = [sparse(col, keys) for col in columns]
+        sparse_target = sparse(target, keys)
     try:
         expected = solve_fractions(columns, target)
     except ValueError:
@@ -173,9 +178,23 @@ def test_solve_examples():
     assert solve([{(1, 0): 1, (0, 2): 0}, {(0, 2): 3}], {(1, 0): 2, (0, 2): 1}) == ([6, 1], 3)
 
 
-def test_solve_matches_fraction_reference():
+def seeded_target(rng, columns, m):
+    """A dense target: usually a scaled rational combination of the columns."""
+    if columns and rng.random() < 0.6:
+        weights = [Fraction(rng.randint(-6, 6), rng.choice((1, 1, 2, 3))) for _ in columns]
+        raw = [sum(w * col[i] for w, col in zip(weights, columns)) for i in range(m)]
+        scale = math.lcm(*(x.denominator for x in raw))
+        return [int(x * scale) for x in raw]
+    return [rng.randint(-5, 5) for _ in range(m)]
+
+
+def seeded_systems():
+    """The 300 seeded systems (columns, target, keys, sparse columns, sparse target).
+
+    Each dense system over m = 1..6 rows is followed by its sparse form over
+    random weight keys, with some zeros kept explicit.
+    """
     rng = random.Random(20240501)
-    seen = set()
     for _ in range(300):
         m = rng.randint(1, 6)
         k = rng.randint(0, m)
@@ -184,16 +203,41 @@ def test_solve_matches_fraction_reference():
             columns[-1] = [2 * a - 3 * b for a, b in zip(columns[0], columns[1])]
         if k and rng.random() < 0.05:
             columns[-1] = [0] * m  # an empty row is a dependent column
-        if k and rng.random() < 0.6:
-            weights = [Fraction(rng.randint(-6, 6), rng.choice((1, 1, 2, 3))) for _ in columns]
-            raw = [sum(w * col[i] for w, col in zip(weights, columns)) for i in range(m)]
-            scale = math.lcm(*(x.denominator for x in raw))
-            target = [int(x * scale) for x in raw]
-        else:
-            target = [rng.randint(-5, 5) for _ in range(m)]
+        target = seeded_target(rng, columns, m)
+        keys = random_weight_keys(rng, m)
+        sparse_columns = [sparse(col, keys, rng) for col in columns]
+        yield columns, target, keys, sparse_columns, sparse(target, keys, rng)
+
+
+def test_solve_matches_fraction_reference():
+    seen = set()
+    for columns, target, keys, sparse_columns, sparse_target in seeded_systems():
         seen.add(assert_matches_reference(columns, target))
-        seen.add(assert_matches_reference(columns, target, random_weight_keys(rng, m), rng))
+        seen.add(assert_matches_reference(columns, target, keys, sparse_columns, sparse_target))
     assert seen == {"integer", "non-integer", "out of span", "dependent"}
+
+
+def test_factorization_answers_every_target_as_a_fresh_solve():
+    rng = random.Random(20261018)
+    seen = set()
+    for columns, target, keys, sparse_columns, sparse_target in seeded_systems():
+        if rational_rank(columns) < len(columns):
+            with pytest.raises(ValueError, match="dependent"):
+                Factorization(sparse_columns)
+            seen.add("dependent")
+            continue
+        factorization = Factorization(sparse_columns)
+        stored = copy.deepcopy(factorization._echelon._by_pivot)
+        targets = [sparse_target] + [
+            sparse(seeded_target(rng, columns, len(keys)), keys, rng) for _ in range(4)
+        ]
+        # every target, then the first again, after the others were answered
+        for t in targets + targets[:1]:
+            answer = factorization.solve(t)
+            assert answer == solve(sparse_columns, t)
+            seen.add("out of span" if answer is None else "solved")
+        assert factorization._echelon._by_pivot == stored
+    assert seen == {"solved", "out of span", "dependent"}
 
 
 def test_solve_seeded_a2_modules(basis_cache):
