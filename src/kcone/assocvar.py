@@ -17,11 +17,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .ktheory import KClass, kclass_add, kclass_from_terms, kclass_scale, std_to_class
+from .ktheory import KClass, kclass_from_terms
 from .linalg import Factorization
 from .nilpotent import ClosurePoset
 from .orbitalg import GeometricBasis, GeometricBasisVector
-from .rootdata import RootDatum, Weight, int_norm, int_norm_bound, weight_norm_sq
+from .rootdata import RootDatum, Weight, int_norm, int_norm_bound, weight_add, weight_norm_sq
 
 
 class BoundTooSmallError(ValueError):
@@ -53,55 +53,64 @@ def module_to_kclass(rd: RootDatum, vm: VirtualModule) -> KClass:
     if vm.kclass is not None:
         # re-fold so raw caller-built classes obey the dominance invariant
         return kclass_from_terms(rd, vm.kclass.coeffs, rank=vm.kclass.rank)
-    acc = KClass(())
-    for coef, lam_l, lam_r in vm.terms:
-        acc = kclass_add(acc, kclass_scale(std_to_class(rd, lam_l, lam_r), coef))
-    return KClass(acc.coeffs, None)
+    return kclass_from_terms(rd, [(weight_add(lam_l, lam_r), c) for c, lam_l, lam_r in vm.terms])
 
 
-# The certified vectors of the last basis queried and their Factorization.
-_slot: Optional[tuple[tuple[GeometricBasisVector, ...], Factorization]] = None
+# The strata of the last basis queried, its certified vectors and their
+# Factorization.
+_slot: Optional[tuple[tuple, tuple[GeometricBasisVector, ...], Factorization]] = None
 
 
 def _certified_factorization(
-    certified: list[GeometricBasisVector],
-) -> Factorization:
-    """The Factorization of the certified rows, reused while the vectors are.
+    basis: GeometricBasis,
+) -> tuple[tuple[GeometricBasisVector, ...], Factorization]:
+    """The certified vectors of basis and their Factorization, reused per strata.
 
-    One slot holds the last certified tuple and its Factorization; it is
-    reused only when certified has the same length and every element is the
-    same object as in the slot, and otherwise rebuilt and replaced.  Reuse
-    returns what a fresh Factorization would:
+    One slot holds the strata of the last basis queried, read as
+    basis.strata[o.id] for o in basis.orbits, with the certified vectors and
+    the Factorization built from them.  It is reused only when the basis
+    gives the same number of strata, each a tuple and the same object as in
+    the slot, in the same order; otherwise it is rebuilt and replaced.  The
+    check costs one comparison per orbit.  Reuse returns exactly what a
+    fresh build would:
     - the slot holds strong references, so an identity it compares against
       cannot be recycled by a new object;
-    - GeometricBasisVector and KClass are frozen with tuple fields (they
-      must hash, since vectors key the coordinates), so the same objects in
-      the same order give the same rows in the same order;
-    - Factorization.solve never writes into the echelon (see its docstring),
+    - a tuple cannot change its elements, and GeometricBasisVector and KClass
+      are frozen with tuple fields, so the same tuple objects in the same
+      order hold the same vectors with the same certified flags and rows;
+      certified_vectors() keeps the certified vectors of the strata in that
+      order, as the rebuild here does from the very strata it stores, so
+      the slot's certified vectors are exactly the list certified_vectors()
+      returns now;
+    - a stratum that is not a tuple may have been changed in place, so it
+      is never reused;
+    - Factorization.solve never writes its stored rows (see its docstring),
       so a reused one returns exactly what a fresh linalg.solve returns.
-    Nothing is stored on GeometricBasis: dataclasses.replace, or assigning
-    to basis.strata in place, yields other vector objects or another length,
-    so the slot is rebuilt rather than stale.  The slot is read once and
-    replaced whole, so concurrent callers can at worst rebuild it twice.
-    The dependence check runs once per Factorization and raises
-    InternalConsistencyError.
+    Nothing is stored on GeometricBasis: dataclasses.replace, assigning to
+    basis.strata in place, or reordering basis.orbits yields another
+    sequence of strata, so the slot is rebuilt rather than stale.  The slot
+    is read once and replaced whole, so concurrent callers can at worst
+    rebuild it twice.  The dependence check runs once per Factorization and
+    raises InternalConsistencyError.
     """
     global _slot
+    strata = tuple(basis.strata[o.id] for o in basis.orbits)
     slot = _slot
     if (
         slot is not None
-        and len(slot[0]) == len(certified)
-        and all(a is b for a, b in zip(slot[0], certified))
+        and len(slot[0]) == len(strata)
+        and all(type(a) is tuple and a is b for a, b in zip(strata, slot[0]))
     ):
-        return slot[1]
+        return slot[1], slot[2]
+    certified = tuple(v for stratum in strata for v in stratum if v.certified)
     try:
         factorization = Factorization([v.kclass.as_row() for v in certified])
     except ValueError:
         raise InternalConsistencyError(
             "certified basis vectors are linearly dependent in the window"
         ) from None
-    _slot = (tuple(certified), factorization)
-    return factorization
+    _slot = (strata, certified, factorization)
+    return certified, factorization
 
 
 def express_in_geometric_basis(
@@ -114,8 +123,8 @@ def express_in_geometric_basis(
     and InternalConsistencyError if the certified vectors are dependent or
     the coordinates are not integers.  Repeated calls on one basis reuse the
     elimination of its certified vectors (see _certified_factorization), so
-    the last basis's certified vectors stay referenced until a call with
-    another basis; the bound, span and integrality checks run on every call.
+    the last basis's strata stay referenced until a call with another
+    basis; the bound, span and integrality checks run on every call.
     """
     bound = int_norm_bound(rd, basis.bound_sq)
     for w, _ in kc.coeffs:
@@ -124,8 +133,8 @@ def express_in_geometric_basis(
                 f"support weight {w} has norm^2 {weight_norm_sq(rd, w)} > bound^2 "
                 f"{basis.bound_sq}; recompute the basis with a larger bound"
             )
-    certified = basis.certified_vectors()
-    solved = _certified_factorization(certified).solve(kc.as_row())
+    certified, factorization = _certified_factorization(basis)
+    solved = factorization.solve(kc.as_row())
     if solved is None:
         raise BoundTooSmallError(
             "class is not in the certified span at this bound; recompute "

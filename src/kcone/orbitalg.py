@@ -77,6 +77,15 @@ class GeometricBasisVector:
     certified: bool
     bound_sq: Fraction
 
+    def __hash__(self) -> int:
+        """Hash of (orbit_id, index) alone, consistent with ==.
+
+        The generated __eq__ compares every field, so equal vectors have
+        equal orbit_id and index, hence equal hashes.  The generated hash
+        would rehash the KClass and the Fraction bound_sq on every lookup.
+        """
+        return hash((self.orbit_id, self.index))
+
 
 @dataclass
 class GeometricBasis:

@@ -162,6 +162,33 @@ class ScanIntEchelon:
         return True
 
 
+def heap_solve(columns, target):
+    """kcone.linalg.solve by one IntEchelon.reduce of the target over tuple keys.
+
+    Column j is the row c_j[w] at (0, w) and 1 at (1, j), the target is
+    t[w] at (0, w) and 1 at the marker (2,); the target is reduced by the
+    heap over the stored pivots and read off its unit block.  Returns
+    (numerators, denominator) or None, and raises ValueError on dependent
+    columns, as linalg.solve does.
+    """
+    from kcone.linalg import IntEchelon
+
+    ech = IntEchelon()
+    for j, col in enumerate(columns):
+        row = {(0, w): x for w, x in col.items()}
+        row[(1, j)] = 1
+        ech.add(row)
+    if sum(1 for p in ech._by_pivot if p[0] == 0) < len(columns):
+        raise ValueError("columns are linearly dependent")
+    row = {(0, w): x for w, x in target.items()}
+    row[(2,)] = 1
+    red = ech.reduce(row)
+    if any(key[0] == 0 for key in red):
+        return None
+    sign = 1 if red[(2,)] > 0 else -1
+    return [-sign * red.get((1, j), 0) for j in range(len(columns))], sign * red[(2,)]
+
+
 # ---------------------------------------------------------------------------
 # characters via Weyl numerator division
 

@@ -278,12 +278,58 @@ def test_reused_elimination_matches_a_fresh_solve(basis_cache, queries):
         kc = module_to_kclass(rd, VirtualModule(terms=terms))
         coords = express_in_geometric_basis(rd, kc, basis)
         # every switch of basis replaced the one slot
-        assert all(a is b for a, b in zip(assocvar._slot[0], certified, strict=True))
+        assert all(a is b for a, b in zip(assocvar._slot[1], certified, strict=True))
         assert coords == fresh_coords(certified, kc)
         total = KClass(())
         for v, n in coords.items():
             total = kclass_add(total, kclass_scale(v.kclass, n))
         assert total.coeffs == kc.coeffs
+
+
+def negated(stratum, i):
+    """The stratum with vector i's class negated: its coordinate changes sign."""
+    v = stratum[i]
+    return stratum[:i] + (dataclasses.replace(v, kclass=kclass_scale(v.kclass, -1)),) + stratum[i + 1 :]
+
+
+def test_reuse_follows_the_strata(basis_cache, a2):
+    basis = basis_cache("A2", 50)
+    rng = random.Random(41)
+    classes = [module_to_kclass(a2, VirtualModule(terms=seeded_terms(rng, "A2"))) for _ in range(3)]
+
+    def check(b):
+        for kc in classes:
+            assert express_in_geometric_basis(a2, kc, b) == fresh_coords(b.certified_vectors(), kc)
+        assert all(x is y for x, y in zip(assocvar._slot[1], b.certified_vectors(), strict=True))
+
+    check(basis)
+    # a certified vector with a nonzero coordinate: negating it flips that sign
+    v = next(iter(express_in_geometric_basis(a2, classes[0], basis)))
+    k, i = v.orbit_id, basis.strata[v.orbit_id].index(v)
+    check(dataclasses.replace(basis, strata={**basis.strata, k: negated(basis.strata[k], i)}))
+    edited = dataclasses.replace(basis, strata=dict(basis.strata))
+    check(edited)
+    edited.strata[k] = negated(basis.strata[k], i)
+    check(edited)
+    check(basis)
+    check(dataclasses.replace(basis, orbits=tuple(reversed(basis.orbits))))
+    listed = dataclasses.replace(basis, strata={**basis.strata, k: list(basis.strata[k])})
+    check(listed)
+    listed.strata[k][i] = negated(basis.strata[k], i)[i]
+    check(listed)
+
+
+def test_equal_vectors_from_two_builds_hash_alike(basis_cache, a2):
+    first = basis_cache("A2", 50)
+    second = full_basis(a2, 50)
+    for a, b in zip(first.all_vectors(), second.all_vectors(), strict=True):
+        assert a is not b and a == b and hash(a) == hash(b)
+    rng = random.Random(42)
+    for _ in range(3):
+        kc = module_to_kclass(a2, VirtualModule(terms=seeded_terms(rng, "A2")))
+        coords = express_in_geometric_basis(a2, kc, second)
+        assert coords == fresh_coords(second.certified_vectors(), kc)
+        assert coords == express_in_geometric_basis(a2, kc, first)
 
 
 @pytest.mark.parametrize("label,bound", DIFFERENTIAL_BASES)

@@ -21,6 +21,7 @@ from helpers import (
     cartan_inverse_fractions,
     flatten_kclass,
     gram_fractions,
+    heap_solve,
     rational_rank,
     solve_fractions,
 )
@@ -40,7 +41,7 @@ def sparse(row, keys, rng=None):
 
 
 def assert_matches_reference(columns, target, keys=None, sparse_columns=None, sparse_target=None):
-    """solve on dict rows against the Fraction reference on dense rows.
+    """solve on dict rows against heap_solve on them and the Fraction reference on dense rows.
 
     The dict rows are given, or else built over keys (default 0..m-1).
     """
@@ -53,8 +54,12 @@ def assert_matches_reference(columns, target, keys=None, sparse_columns=None, sp
     except ValueError:
         with pytest.raises(ValueError, match="dependent"):
             solve(sparse_columns, sparse_target)
+        with pytest.raises(ValueError, match="dependent"):
+            heap_solve(sparse_columns, sparse_target)
         return "dependent"
-    assert as_fractions(solve(sparse_columns, sparse_target)) == expected
+    answer = solve(sparse_columns, sparse_target)
+    assert answer == heap_solve(sparse_columns, sparse_target)
+    assert as_fractions(answer) == expected
     if expected is None:
         return "out of span"
     return "integer" if all(x.denominator == 1 for x in expected) else "non-integer"
@@ -209,12 +214,30 @@ def seeded_systems():
         yield columns, target, keys, sparse_columns, sparse(target, keys, rng)
 
 
+OUTSIDE = (10, 0)  # random_weight_keys draws first entries from 0..9, so no column has it
+
+
 def test_solve_matches_fraction_reference():
+    rng = random.Random(20261019)
     seen = set()
     for columns, target, keys, sparse_columns, sparse_target in seeded_systems():
         seen.add(assert_matches_reference(columns, target))
         seen.add(assert_matches_reference(columns, target, keys, sparse_columns, sparse_target))
-    assert seen == {"integer", "non-integer", "out of span", "dependent"}
+        if 0 in sparse_target.values():
+            seen.add("explicit zero")
+        # one more key that no column carries: a nonzero entry there is out of span
+        extra = rng.choice((0, rng.randint(-3, 3) or 1))
+        outcome = assert_matches_reference(
+            [col + [0] for col in columns], target + [extra], keys + [OUTSIDE],
+            sparse_columns, {**sparse_target, OUTSIDE: extra},
+        )
+        seen.add(f"{outcome}, outside key {'nonzero' if extra else 'zero'}")
+    assert seen == {
+        "integer", "non-integer", "out of span", "dependent", "explicit zero",
+        "integer, outside key zero", "non-integer, outside key zero",
+        "out of span, outside key zero", "out of span, outside key nonzero",
+        "dependent, outside key zero", "dependent, outside key nonzero",
+    }
 
 
 def test_factorization_answers_every_target_as_a_fresh_solve():
@@ -227,7 +250,7 @@ def test_factorization_answers_every_target_as_a_fresh_solve():
             seen.add("dependent")
             continue
         factorization = Factorization(sparse_columns)
-        stored = copy.deepcopy(factorization._echelon._by_pivot)
+        stored = copy.deepcopy(factorization._rows)
         targets = [sparse_target] + [
             sparse(seeded_target(rng, columns, len(keys)), keys, rng) for _ in range(4)
         ]
@@ -236,8 +259,42 @@ def test_factorization_answers_every_target_as_a_fresh_solve():
             answer = factorization.solve(t)
             assert answer == solve(sparse_columns, t)
             seen.add("out of span" if answer is None else "solved")
-        assert factorization._echelon._by_pivot == stored
+        assert factorization._rows == stored
     assert seen == {"solved", "out of span", "dependent"}
+
+
+def seeded_a2_class(rng, rd, bound):
+    """The class of 1-4 seeded standard modules whose dominant sums are within bound."""
+    terms = []
+    for _ in range(rng.randint(1, 4)):
+        while True:
+            lam_l = (rng.randint(-5, 5), rng.randint(-5, 5))
+            lam_r = (rng.randint(-5, 5), rng.randint(-5, 5))
+            gamma = dominant_conjugate(rd, (lam_l[0] + lam_r[0], lam_l[1] + lam_r[1]))
+            if weight_norm_sq(rd, gamma) <= bound:
+                break
+        terms.append((rng.choice((-2, -1, 1, 2)), lam_l, lam_r))
+    return module_to_kclass(rd, VirtualModule(terms=tuple(terms)))
+
+
+@pytest.mark.parametrize("bound", [50, 200])
+def test_factorization_matches_references_on_certified_sets(basis_cache, bound):
+    rd = build_root_datum("A2")
+    columns = [v.kclass.as_row() for v in basis_cache("A2", bound).certified_vectors()]
+    factorization = Factorization(columns)
+    rng = random.Random(bound)
+    targets = [seeded_a2_class(rng, rd, bound).as_row() for _ in range(6)]
+    # a weight far outside the window, alone and added to an in-span class
+    far = (-40, -40)
+    targets += [{far: 1}, {**targets[0], far: -2}]
+    keys = sorted({w for col in columns for w in col} | {far})
+    answers = [factorization.solve(t) for t in targets]
+    assert answers == [heap_solve(columns, t) for t in targets]
+    assert [a is None for a in answers] == [False] * 6 + [True, True]
+    # the Fraction reference costs seconds on the 197 columns of A2@200
+    dense = [[col.get(w, 0) for w in keys] for col in columns]
+    for t, answer in list(zip(targets, answers))[:: 1 if bound == 50 else 8]:
+        assert as_fractions(answer) == solve_fractions(dense, [t.get(w, 0) for w in keys])
 
 
 def test_solve_seeded_a2_modules(basis_cache):
@@ -248,17 +305,7 @@ def test_solve_seeded_a2_modules(basis_cache):
     columns = [flatten_kclass(v.kclass, index) for v in basis.certified_vectors()]
     rng = random.Random(7)
     for _ in range(6):
-        terms = []
-        for _ in range(rng.randint(1, 4)):
-            while True:
-                lam_l = (rng.randint(-5, 5), rng.randint(-5, 5))
-                lam_r = (rng.randint(-5, 5), rng.randint(-5, 5))
-                gamma = dominant_conjugate(rd, (lam_l[0] + lam_r[0], lam_l[1] + lam_r[1]))
-                if weight_norm_sq(rd, gamma) <= 50:
-                    break
-            terms.append((rng.choice((-2, -1, 1, 2)), lam_l, lam_r))
-        kc = module_to_kclass(rd, VirtualModule(terms=tuple(terms)))
-        target = flatten_kclass(kc, index)
+        target = flatten_kclass(seeded_a2_class(rng, rd, 50), index)
         assert assert_matches_reference(columns, target, list(axis)) == "integer"
 
 
