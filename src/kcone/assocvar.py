@@ -18,7 +18,6 @@ from fractions import Fraction
 from typing import Optional
 
 from .ktheory import KClass, kclass_from_terms
-from .linalg import Factorization
 from .nilpotent import ClosurePoset
 from .orbitalg import GeometricBasis, GeometricBasisVector
 from .rootdata import RootDatum, Weight, int_norm, int_norm_bound, weight_add, weight_norm_sq
@@ -56,63 +55,6 @@ def module_to_kclass(rd: RootDatum, vm: VirtualModule) -> KClass:
     return kclass_from_terms(rd, [(weight_add(lam_l, lam_r), c) for c, lam_l, lam_r in vm.terms])
 
 
-# The strata of the last basis queried, its certified vectors and their
-# Factorization.
-_slot: Optional[tuple[tuple, tuple[GeometricBasisVector, ...], Factorization]] = None
-
-
-def _certified_factorization(
-    basis: GeometricBasis,
-) -> tuple[tuple[GeometricBasisVector, ...], Factorization]:
-    """The certified vectors of basis and their Factorization, reused per strata.
-
-    One slot holds the strata of the last basis queried, read as
-    basis.strata[o.id] for o in basis.orbits, with the certified vectors and
-    the Factorization built from them.  It is reused only when the basis
-    gives the same number of strata, each a tuple and the same object as in
-    the slot, in the same order; otherwise it is rebuilt and replaced.  The
-    check costs one comparison per orbit.  Reuse returns exactly what a
-    fresh build would:
-    - the slot holds strong references, so an identity it compares against
-      cannot be recycled by a new object;
-    - a tuple cannot change its elements, and GeometricBasisVector and KClass
-      are frozen with tuple fields, so the same tuple objects in the same
-      order hold the same vectors with the same certified flags and rows;
-      certified_vectors() keeps the certified vectors of the strata in that
-      order, as the rebuild here does from the very strata it stores, so
-      the slot's certified vectors are exactly the list certified_vectors()
-      returns now;
-    - a stratum that is not a tuple may have been changed in place, so it
-      is never reused;
-    - Factorization.solve never writes its stored rows (see its docstring),
-      so a reused one returns exactly what a fresh linalg.solve returns.
-    Nothing is stored on GeometricBasis: dataclasses.replace, assigning to
-    basis.strata in place, or reordering basis.orbits yields another
-    sequence of strata, so the slot is rebuilt rather than stale.  The slot
-    is read once and replaced whole, so concurrent callers can at worst
-    rebuild it twice.  The dependence check runs once per Factorization and
-    raises InternalConsistencyError.
-    """
-    global _slot
-    strata = tuple(basis.strata[o.id] for o in basis.orbits)
-    slot = _slot
-    if (
-        slot is not None
-        and len(slot[0]) == len(strata)
-        and all(type(a) is tuple and a is b for a, b in zip(strata, slot[0]))
-    ):
-        return slot[1], slot[2]
-    certified = tuple(v for stratum in strata for v in stratum if v.certified)
-    try:
-        factorization = Factorization([v.kclass.as_row() for v in certified])
-    except ValueError:
-        raise InternalConsistencyError(
-            "certified basis vectors are linearly dependent in the window"
-        ) from None
-    _slot = (strata, certified, factorization)
-    return certified, factorization
-
-
 def express_in_geometric_basis(
     rd: RootDatum, kc: KClass, basis: GeometricBasis
 ) -> dict[GeometricBasisVector, int]:
@@ -121,19 +63,27 @@ def express_in_geometric_basis(
     Raises BoundTooSmallError if some support weight exceeds the basis bound
     or the class is not in the certified span within the truncation window,
     and InternalConsistencyError if the certified vectors are dependent or
-    the coordinates are not integers.  Repeated calls on one basis reuse the
-    elimination of its certified vectors (see _certified_factorization), so
-    the last basis's strata stay referenced until a call with another
-    basis; the bound, span and integrality checks run on every call.
+    the coordinates are not integers.  Raises ValueError if a support weight
+    has the wrong length or is not dominant, which no bound can help.  The
+    certified vectors are eliminated once per basis, on its first query
+    (GeometricBasis.certified_factorization); the weight, bound, span and
+    integrality checks run on every call.
     """
     bound = int_norm_bound(rd, basis.bound_sq)
     for w, _ in kc.coeffs:
+        if len(w) != rd.rank or min(w) < 0:
+            raise ValueError(f"class support {w} lies outside the dominant chamber")
         if int_norm(rd, w) > bound:
             raise BoundTooSmallError(
                 f"support weight {w} has norm^2 {weight_norm_sq(rd, w)} > bound^2 "
                 f"{basis.bound_sq}; recompute the basis with a larger bound"
             )
-    certified, factorization = _certified_factorization(basis)
+    try:
+        certified, factorization = basis.certified_factorization
+    except ValueError:
+        raise InternalConsistencyError(
+            "certified basis vectors are linearly dependent in the window"
+        ) from None
     solved = factorization.solve(kc.as_row())
     if solved is None:
         raise BoundTooSmallError(

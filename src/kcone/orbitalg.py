@@ -38,7 +38,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from functools import cached_property
+from types import MappingProxyType
+from typing import Mapping, Sequence
 
 from .ktheory import (
     KClass,
@@ -47,7 +49,7 @@ from .ktheory import (
     pushforward,
     pushforward_kernel,
 )
-from .linalg import IntEchelon
+from .linalg import Factorization, IntEchelon
 from .nilpotent import (
     ClosurePoset,
     NilpotentOrbit,
@@ -87,9 +89,15 @@ class GeometricBasisVector:
         return hash((self.orbit_id, self.index))
 
 
-@dataclass
+@dataclass(frozen=True)
 class GeometricBasis:
-    """All per-orbit strata for one bound, plus the window bookkeeping."""
+    """All per-orbit strata for one bound, plus the window bookkeeping.
+
+    Immutable: orbits is stored as a tuple and strata as a read-only
+    mapping of tuples, so assigning basis.strata[k] or basis.strata[k][i]
+    raises TypeError and dataclasses.replace builds a new basis, whose
+    certified_factorization is built afresh.
+    """
 
     type_label: str
     bound_sq: Fraction
@@ -98,7 +106,26 @@ class GeometricBasis:
     support_window_sq: Fraction
     orbits: tuple[NilpotentOrbit, ...]
     poset: ClosurePoset
-    strata: dict[int, tuple[GeometricBasisVector, ...]]
+    strata: Mapping[int, tuple[GeometricBasisVector, ...]]
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "orbits", tuple(self.orbits))
+        strata = MappingProxyType({k: tuple(s) for k, s in self.strata.items()})
+        object.__setattr__(self, "strata", strata)
+
+    @cached_property
+    def certified_factorization(self) -> tuple[tuple[GeometricBasisVector, ...], Factorization]:
+        """The certified vectors, in certified_vectors() order, and their Factorization.
+
+        Built on the first read and kept: the basis cannot change, and
+        Factorization.solve never writes its rows, so every read gives what
+        a fresh build would.  Raises ValueError if the certified vectors are
+        dependent; an exception is not cached, so every read raises again.
+        cached_property builds under a lock on Python 3.10 and 3.11; on 3.12
+        and later two threads may both build it, which only costs time.
+        """
+        certified = tuple(self.certified_vectors())
+        return certified, Factorization([v.kclass.as_row() for v in certified])
 
     def certified_vectors(self) -> list[GeometricBasisVector]:
         out = []

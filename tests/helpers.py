@@ -403,20 +403,32 @@ def parse_partition_label(label: str) -> tuple[tuple[int, ...], str]:
 # misc exact linear algebra
 
 
-def rational_rank(rows) -> int:
-    ech: list[list[Fraction]] = []
-    pivots: list[int] = []
+def rank_steps(rows):
+    """Whether each dense row raises the rational rank of the rows before it.
+
+    Gaussian elimination over Fraction on the nonzero entries: each stored
+    row pivots at its first nonzero index and is zero at every earlier
+    pivot, so one pass over the stored rows, in order, reduces a new row.
+    """
+    stored: list[tuple[int, dict[int, Fraction]]] = []
     for row in rows:
-        r = [Fraction(x) for x in row]
-        for p, e in zip(pivots, ech):
-            if r[p]:
+        r = {i: Fraction(x) for i, x in enumerate(row) if x}
+        for p, e in stored:
+            if r.get(p):
                 f = r[p] / e[p]
-                r = [x - f * y for x, y in zip(r, e)]
-        nz = next((i for i, x in enumerate(r) if x), None)
-        if nz is not None:
-            pivots.append(nz)
-            ech.append(r)
-    return len(ech)
+                for i, y in e.items():
+                    z = r.get(i, 0) - f * y
+                    if z:
+                        r[i] = z
+                    else:
+                        del r[i]
+        if r:
+            stored.append((min(r), r))
+        yield bool(r)
+
+
+def rational_rank(rows) -> int:
+    return sum(rank_steps(rows))
 
 
 def brute_pushforward(rd, gd, phi) -> dict[tuple[int, ...], int]:

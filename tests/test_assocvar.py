@@ -11,7 +11,6 @@ from kcone import (
     InternalConsistencyError,
     KClass,
     VirtualModule,
-    assocvar,
     associated_cycle,
     build_root_datum,
     enumerate_dominant,
@@ -210,12 +209,18 @@ def test_reused_elimination_never_goes_stale(basis_cache, a1):
     for tamper, error, match in TAMPERED:
         with pytest.raises(error, match=match):
             express_in_geometric_basis(a1, gamma, tamper(basis))
-    # same vector objects as the good basis until strata[1] is reassigned in place
+    # the same vector objects as the good basis, and nothing can change them
     edited = dataclasses.replace(basis, strata=dict(basis.strata))
     assert named(edited) == {(1, 0): 1}
-    edited.strata[1] = halved_stratum(basis)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        edited.strata = {0: basis.strata[0], 1: halved_stratum(basis)}
+    with pytest.raises(TypeError):
+        edited.strata[1] = halved_stratum(basis)
+    assert named(edited) == {(1, 0): 1}
+    halved = dataclasses.replace(edited, strata={**edited.strata, 1: halved_stratum(basis)})
     with pytest.raises(InternalConsistencyError, match="not an integer"):
-        express_in_geometric_basis(a1, gamma, edited)
+        express_in_geometric_basis(a1, gamma, halved)
+    assert named(edited) == {(1, 0): 1}
     assert named(basis) == {(1, 0): 1}
 
 
@@ -237,10 +242,10 @@ def standard_terms(coefs, sums, shifts):
     return tuple((c, lam_l, weight_sub(gamma, lam_l)) for c, gamma, lam_l in zip(coefs, sums, shifts))
 
 
-def seeded_terms(rng, label):
-    """1-4 standard terms, coefficients +-1 or +-2, inside the basis bound."""
+def seeded_terms(rng, in_bound):
+    """1-4 standard terms, coefficients +-1 or +-2, their sums drawn from in_bound."""
     n = rng.randint(1, 4)
-    sums = [rng.choice(SUMS[label]) for _ in range(n)]
+    sums = [rng.choice(in_bound) for _ in range(n)]
     shifts = [tuple(rng.randint(-5, 5) for _ in gamma) for gamma in sums]
     return standard_terms([rng.choice(COEFFICIENTS) for _ in range(n)], sums, shifts)
 
@@ -277,8 +282,8 @@ def test_reused_elimination_matches_a_fresh_solve(basis_cache, queries):
         certified = basis.certified_vectors()
         kc = module_to_kclass(rd, VirtualModule(terms=terms))
         coords = express_in_geometric_basis(rd, kc, basis)
-        # every switch of basis replaced the one slot
-        assert all(a is b for a, b in zip(assocvar._slot[1], certified, strict=True))
+        # each basis keeps its own certified vectors across switches
+        assert all(a is b for a, b in zip(basis.certified_factorization[0], certified, strict=True))
         assert coords == fresh_coords(certified, kc)
         total = KClass(())
         for v, n in coords.items():
@@ -292,31 +297,40 @@ def negated(stratum, i):
     return stratum[:i] + (dataclasses.replace(v, kclass=kclass_scale(v.kclass, -1)),) + stratum[i + 1 :]
 
 
+def by_index(coords):
+    return {(v.orbit_id, v.index): n for v, n in coords.items()}
+
+
 def test_reuse_follows_the_strata(basis_cache, a2):
     basis = basis_cache("A2", 50)
     rng = random.Random(41)
-    classes = [module_to_kclass(a2, VirtualModule(terms=seeded_terms(rng, "A2"))) for _ in range(3)]
+    classes = [module_to_kclass(a2, VirtualModule(terms=seeded_terms(rng, SUMS["A2"]))) for _ in range(3)]
 
     def check(b):
-        for kc in classes:
-            assert express_in_geometric_basis(a2, kc, b) == fresh_coords(b.certified_vectors(), kc)
-        assert all(x is y for x, y in zip(assocvar._slot[1], b.certified_vectors(), strict=True))
+        answers = [express_in_geometric_basis(a2, kc, b) for kc in classes]
+        assert answers == [fresh_coords(b.certified_vectors(), kc) for kc in classes]
+        assert all(x is y for x, y in zip(b.certified_factorization[0], b.certified_vectors(), strict=True))
+        return answers
 
-    check(basis)
+    expected = check(basis)
     # a certified vector with a nonzero coordinate: negating it flips that sign
-    v = next(iter(express_in_geometric_basis(a2, classes[0], basis)))
+    v = next(iter(expected[0]))
     k, i = v.orbit_id, basis.strata[v.orbit_id].index(v)
-    check(dataclasses.replace(basis, strata={**basis.strata, k: negated(basis.strata[k], i)}))
+    flipped = check(dataclasses.replace(basis, strata={**basis.strata, k: negated(basis.strata[k], i)}))
+    assert by_index(flipped[0]) == {**by_index(expected[0]), (k, v.index): -expected[0][v]}
     edited = dataclasses.replace(basis, strata=dict(basis.strata))
-    check(edited)
-    edited.strata[k] = negated(basis.strata[k], i)
-    check(edited)
-    check(basis)
-    check(dataclasses.replace(basis, orbits=tuple(reversed(basis.orbits))))
+    assert check(edited) == expected
+    with pytest.raises(TypeError):
+        edited.strata[k] = negated(basis.strata[k], i)
+    assert check(edited) == expected
+    assert check(basis) == expected
+    assert check(dataclasses.replace(basis, orbits=tuple(reversed(basis.orbits)))) == expected
     listed = dataclasses.replace(basis, strata={**basis.strata, k: list(basis.strata[k])})
-    check(listed)
-    listed.strata[k][i] = negated(basis.strata[k], i)[i]
-    check(listed)
+    assert type(listed.strata[k]) is tuple
+    assert check(listed) == expected
+    with pytest.raises(TypeError):
+        listed.strata[k][i] = negated(basis.strata[k], i)[i]
+    assert check(listed) == expected
 
 
 def test_equal_vectors_from_two_builds_hash_alike(basis_cache, a2):
@@ -326,7 +340,7 @@ def test_equal_vectors_from_two_builds_hash_alike(basis_cache, a2):
         assert a is not b and a == b and hash(a) == hash(b)
     rng = random.Random(42)
     for _ in range(3):
-        kc = module_to_kclass(a2, VirtualModule(terms=seeded_terms(rng, "A2")))
+        kc = module_to_kclass(a2, VirtualModule(terms=seeded_terms(rng, SUMS["A2"])))
         coords = express_in_geometric_basis(a2, kc, second)
         assert coords == fresh_coords(second.certified_vectors(), kc)
         assert coords == express_in_geometric_basis(a2, kc, first)
@@ -339,7 +353,7 @@ def test_expansion_matches_fraction_reference(basis_cache, label, bound):
     certified = basis.certified_vectors()
     rng = random.Random(f"{label}@{bound}")
     for _ in range(2):
-        kc = module_to_kclass(rd, VirtualModule(terms=seeded_terms(rng, label)))
+        kc = module_to_kclass(rd, VirtualModule(terms=seeded_terms(rng, SUMS[label])))
         keys = sorted({w for v in certified for w in v.kclass.support()} | set(kc.support()))
         columns = [[v.kclass.as_dict().get(w, 0) for w in keys] for v in certified]
         expected = solve_fractions(columns, [kc.as_dict().get(w, 0) for w in keys])
@@ -355,9 +369,39 @@ def test_certified_columns_are_eliminated_once_per_basis(monkeypatch):
     monkeypatch.setattr(IntEchelon, "add", lambda self, row: added.append(1) or add(self, row))
     rng = random.Random(40)
     for _ in range(40):
-        kc = module_to_kclass(rd, VirtualModule(terms=seeded_terms(rng, "A2")))
+        kc = module_to_kclass(rd, VirtualModule(terms=seeded_terms(rng, SUMS["A2"])))
         express_in_geometric_basis(rd, kc, basis)
     assert len(added) == len(basis.certified_vectors()) == 54
+
+
+def test_interleaved_bases_factor_once(monkeypatch, a2):
+    bases = (full_basis(a2, 50), full_basis(a2, 18))  # fresh: neither is factored yet
+    in_bound = (SUMS["A2"], in_bound_sums("A2", 18))
+    added = []
+    add = IntEchelon.add
+    monkeypatch.setattr(IntEchelon, "add", lambda self, row: added.append(1) or add(self, row))
+    rng = random.Random(43)
+    answers = []
+    for q in range(20):
+        basis = bases[q % 2]
+        kc = module_to_kclass(a2, VirtualModule(terms=seeded_terms(rng, in_bound[q % 2])))
+        answers.append((basis, kc, express_in_geometric_basis(a2, kc, basis)))
+    assert len(added) == sum(len(b.certified_vectors()) for b in bases)
+    monkeypatch.undo()
+    for basis, kc, coords in answers:
+        assert coords == fresh_coords(basis.certified_vectors(), kc)
+
+
+@pytest.mark.parametrize(
+    "weight",
+    [(-1, 2), (1, 1, 0), (1,), (1, 1, 1)],
+    ids=["non-dominant", "trailing-zero", "short", "past-the-rank"],
+)
+def test_malformed_support_is_not_a_bound_error(basis_cache, a2, weight):
+    # no bound can help: a ValueError, which the CLI maps to exit 2
+    with pytest.raises(ValueError, match="outside the dominant chamber") as info:
+        express_in_geometric_basis(a2, KClass(((weight, 1),)), basis_cache("A2", 18))
+    assert not isinstance(info.value, BoundTooSmallError)
 
 
 def test_virtual_zero_coordinates_excluded(basis_cache, a1):

@@ -22,7 +22,7 @@ from kcone.ktheory import KClass
 from kcone.linalg import IntEchelon
 from kcone.orbitalg import orbital_basis, spanning_set
 
-from helpers import flatten_kclass, norm_sq_fractions, pushforward_reference, rational_rank
+from helpers import flatten_kclass, norm_sq_fractions, pushforward_reference, rank_steps, rational_rank
 
 
 def test_norm_constant_values(a1, a2, b2):
@@ -292,6 +292,28 @@ def test_full_basis_adds_each_hermite_output_once(monkeypatch, b2):
     basis = full_basis(b2, 16)
     assert len(added) == sum(offered)
     assert sum(offered) > len(basis.all_vectors())  # some outputs were rejected
+
+
+@pytest.mark.parametrize("label,bound", [("A2", 18), ("B2", 16), ("G2", 8), ("A1xA1xA1", 2)])
+def test_rejected_rows_lie_in_the_span_of_the_kept_rows(monkeypatch, label, bound):
+    rd = build_root_datum(label)
+    offered = []
+    real_add = IntEchelon.add
+
+    def recording_add(self, row):
+        kept = real_add(self, row)
+        offered.append((KClass(tuple((tuple(-x for x in k), c) for k, c in row.items())), kept))
+        return kept
+
+    monkeypatch.setattr(IntEchelon, "add", recording_add)
+    full_basis(rd, bound)
+    monkeypatch.undo()
+    assert not all(kept for _, kept in offered)  # some rows were rejected
+    axis = sorted({w for kc, _ in offered for w in kc.support()})
+    index = {w: i for i, w in enumerate(axis)}
+    dense = [flatten_kclass(kc, index) for kc, _ in offered]
+    # a kept row raises the rank of the rows offered before it, a rejected one does not
+    assert list(rank_steps(dense)) == [kept for _, kept in offered]
 
 
 def test_zero_bound_basis(a1, a2):
