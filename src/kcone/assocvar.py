@@ -67,24 +67,32 @@ def express_in_geometric_basis(
     has the wrong length or is not dominant, which no bound can help.  The
     certified vectors are eliminated once per basis, on its first query
     (GeometricBasis.certified_factorization); the weight, bound, span and
-    integrality checks run on every call.
+    integrality checks run on every call.  A weight that some certified
+    vector carries is within the bound, since certification tests every
+    support weight against it, so only the other weights pay int_norm.
     """
-    bound = int_norm_bound(rd, basis.bound_sq)
-    for w, _ in kc.coeffs:
-        if len(w) != rd.rank or min(w) < 0:
-            raise ValueError(f"class support {w} lies outside the dominant chamber")
-        if int_norm(rd, w) > bound:
-            raise BoundTooSmallError(
-                f"support weight {w} has norm^2 {weight_norm_sq(rd, w)} > bound^2 "
-                f"{basis.bound_sq}; recompute the basis with a larger bound"
-            )
     try:
         certified, factorization = basis.certified_factorization
-    except ValueError:
+    except ValueError:  # reported after the weight checks, which come first
+        certified, factorization = (), None
+    row = kc.as_row()  # keyed in coeffs order
+    bound = None
+    for (w, _), key in zip(kc.coeffs, row):
+        if len(w) != rd.rank or min(w) < 0:
+            raise ValueError(f"class support {w} lies outside the dominant chamber")
+        if factorization is None or not factorization.carries(key):
+            if bound is None:
+                bound = int_norm_bound(rd, basis.bound_sq)
+            if int_norm(rd, w) > bound:
+                raise BoundTooSmallError(
+                    f"support weight {w} has norm^2 {weight_norm_sq(rd, w)} > bound^2 "
+                    f"{basis.bound_sq}; recompute the basis with a larger bound"
+                )
+    if factorization is None:
         raise InternalConsistencyError(
             "certified basis vectors are linearly dependent in the window"
-        ) from None
-    solved = factorization.solve(kc.as_row())
+        )
+    solved = factorization.solve(row)
     if solved is None:
         raise BoundTooSmallError(
             "class is not in the certified span at this bound; recompute "
@@ -92,14 +100,14 @@ def express_in_geometric_basis(
         )
     numerators, denominator = solved
     coords: dict[GeometricBasisVector, int] = {}
-    for x, v in zip(numerators, certified):
+    for j, x in numerators.items():  # nonzero, in certified order
+        v = certified[j]
         if x % denominator:
             raise InternalConsistencyError(
                 f"expansion coordinate {Fraction(x, denominator)} on orbit "
                 f"{v.orbit_id} vector {v.index} is not an integer"
             )
-        if x:
-            coords[v] = x // denominator
+        coords[v] = x // denominator
     return coords
 
 

@@ -261,7 +261,7 @@ class _TrackedRow:
 
     __slots__ = ("vec", "comb", "order")
 
-    def __init__(self, vec: dict[Weight, int], comb: dict[int, int], order: int) -> None:
+    def __init__(self, vec: dict[int, int], comb: dict[int, int], order: int) -> None:
         self.vec = vec
         self.comb = comb
         self.order = order
@@ -315,14 +315,16 @@ def hnf_certified_split(
     support weight; every call still checks each of its weights for dominance and
     against its own support window.
 
-    Each row waits in a bucket under its leading column, its largest
-    (norm^2, lex) weight.  The columns above it are already cleared, and a
-    pivot row has no entry above the current column, so a row's leading
-    column is its only possible entry among the columns to come: a column
-    takes exactly its own bucket, and a row left nonzero without an entry
-    there is filed under its new leading column.  The pivot is the least
-    row by (|entry|, input order), a total order, and every other row is
-    reduced by the pivot alone, so bucket order cannot change the split.
+    Rows are keyed by column position, an int, and position order is
+    (norm^2, lex) order.  Each row waits in a bucket under its leading
+    column, its largest position.  The columns above it are already
+    cleared, and a pivot row has no entry above the current column, so a
+    row's leading column is its only possible entry among the columns to
+    come: a column takes exactly its own bucket, and a row left nonzero
+    without an entry there is filed under its new leading column.  The
+    pivot is the least row by (|entry|, input order), a total order, and
+    every other row is reduced by the pivot alone, so bucket order cannot
+    change the split.  build maps the positions back to weights.
     """
     support_norm_sq = Fraction(support_norm_sq)
     support_bound = int_norm_bound(rd, support_norm_sq)
@@ -330,8 +332,7 @@ def hnf_certified_split(
     if norm_memo is None:
         norm_memo = {}
     norm: dict[Weight, int] = {}
-    rows: list[_TrackedRow] = []
-    for t, kc in enumerate(vectors):
+    for kc in vectors:
         for w, _ in kc.coeffs:
             if w not in norm:
                 if len(w) != rd.rank or not is_dominant(w):
@@ -345,24 +346,20 @@ def hnf_certified_split(
                         f"class support {w} lies outside the support window "
                         f"norm^2 <= {support_norm_sq}"
                     )
-        if not kc.is_zero():
-            rows.append(_TrackedRow(kc.as_dict(), {t: 1}, t))
 
-    def key(w: Weight) -> tuple[int, Weight]:
-        return norm[w], w
-
-    columns = sorted(norm, key=key)
+    columns = sorted(norm, key=lambda w: (norm[w], w))
     position = {w: i for i, w in enumerate(columns)}
     buckets: dict[int, list[_TrackedRow]] = {}
 
     def file_row(r: _TrackedRow) -> None:  # in the bucket of its leading column
-        buckets.setdefault(max(map(position.__getitem__, r.vec)), []).append(r)
+        buckets.setdefault(max(r.vec), []).append(r)
 
-    for r in rows:
-        file_row(r)
-    done: dict[Weight, _TrackedRow] = {}
-    for i, col in reversed(list(enumerate(columns))):
-        with_entry = buckets.pop(i, [])
+    for t, kc in enumerate(vectors):
+        if not kc.is_zero():
+            file_row(_TrackedRow({position[w]: c for w, c in kc.coeffs}, {t: 1}, t))
+    done: dict[int, _TrackedRow] = {}
+    for col in range(len(columns) - 1, -1, -1):
+        with_entry = buckets.pop(col, [])
         while len(with_entry) > 1:
             with_entry.sort(key=lambda r: (abs(r.vec[col]), r.order))
             p = with_entry[0]
@@ -384,15 +381,16 @@ def hnf_certified_split(
                 p.negate()
             done[col] = p
 
-    def build(col: Weight) -> TrackedVector:
+    def build(col: int) -> TrackedVector:
         row = done[col]
-        if row.vec[min(row.vec, key=key)] < 0:  # smallest-norm coefficient positive
+        if row.vec[min(row.vec)] < 0:  # smallest-norm coefficient positive
             row.negate()
         comb = tuple(sorted(row.comb.items()))
-        return TrackedVector(KClass(tuple(sorted(row.vec.items()))), comb)
+        coeffs = tuple(sorted((columns[i], x) for i, x in row.vec.items()))
+        return TrackedVector(KClass(coeffs), comb)
 
-    pivots = sorted(done, key=key)
+    pivots = sorted(done)
     return HnfSplit(
-        tuple(build(c) for c in pivots if norm[c] <= certify_bound),
-        tuple(build(c) for c in pivots if norm[c] > certify_bound),
+        tuple(build(c) for c in pivots if norm[columns[c]] <= certify_bound),
+        tuple(build(c) for c in pivots if norm[columns[c]] > certify_bound),
     )

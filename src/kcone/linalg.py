@@ -1,20 +1,22 @@
 """Exact linear algebra over the rationals by fraction-free integer elimination.
 
 A row is a sparse dict from mutually comparable keys to nonzero ints;
-KClass.as_row() gives one per K-theory class.  The pivot of a row is its
-smallest key.  Elimination cross-multiplies (Bareiss-style, no division)
-and divides every new row by the gcd of its entries, so entries stay small
-and no Fraction is ever formed.  Factorization relabels a system's keys
-as ints in the same order, eliminates its columns once and
-back-substitutes, so that every stored row is zero at every other pivot
-and solving a target is one pass over the target's own pivots.  The
-Hermite reduction over the integers, which needs unimodular steps, lives
-in ktheory.hnf_certified_split.
+KClass.as_row() gives one per K-theory class.  IntEchelon keeps its rows
+back-substituted, each zero at the pivot of every other, so reducing a row
+is one pass over the pivots the row carries.  Each echelon fixes its pivot
+rule when it is built: a new row pivots at its smallest key, or, with
+fewest_holders, at the key that the fewest stored rows carry (the rule of
+Markowitz, Management Science 3, 1957), ties going to the smallest key.
+Elimination cross-multiplies (no division) and divides every new row by
+the gcd of its entries, so entries stay small and no Fraction is ever
+formed.  Factorization relabels a system's keys as ints in the same order
+and keeps its columns in one smallest-key IntEchelon, so solving a target
+is one reduce.  The Hermite reduction over the integers, which needs
+unimodular steps, lives in ktheory.hnf_certified_split.
 """
 
 from __future__ import annotations
 
-import heapq
 import math
 from typing import Hashable, Mapping, Optional, Sequence
 
@@ -40,73 +42,116 @@ def _normalize_row(row: Row) -> Row:
 
 
 class IntEchelon:
-    """Row space over the rationals, kept as gcd-reduced integer rows.
+    """Row space over the rationals, kept as primitive, back-substituted integer rows.
 
-    Each stored row is zero at the pivots of the rows stored before it, and
-    eliminating a pivot only touches keys above it, so reducing pivot by
-    pivot in increasing order leaves a row zero at every pivot.  _by_pivot
-    maps each pivot to its row.
+    _by_pivot maps each pivot to its row and _holders maps every key of a
+    stored row to the set of pivots of the stored rows that carry it.
+    Every stored row is primitive, nonzero at its own pivot and zero at
+    every other pivot.  The pivot rule is the smallest key of the reduced
+    row, or with fewest_holders the key of fewest holders, then smallest.
+
+    Whether add keeps a row depends only on the span of the rows kept
+    before it, not on the pivots or the key labels.  Proof sketch:
+
+    - reduce leaves the row zero at every pivot.  It returns s * row -
+      sum_q c_q * row_q over the pivots q the row carries, with s > 0 and
+      c_q = s * row[q] / row_q[q].  Row q is zero at every other pivot, so
+      subtracting c_q * row_q cancels the entry at q and changes no other
+      pivot entry; a pivot the row does not carry stays zero.
+    - The update in add is invertible and leaves the other pivot entries
+      alone.  Each stored row q carrying the new pivot p becomes
+      a * row_q - b * red with a != 0, divided by the gcd of its entries,
+      where red is the reduced row.  red is zero at every old pivot, so
+      row_q keeps a nonzero entry at q and zeros at the other old pivots,
+      and a and b make its entry at p zero.  row_q is recovered from the
+      new row and red, so the stored rows span the old span plus red.
+    - A nonzero vector in the span cannot be zero at every pivot.  Write
+      it as sum_q y_q * row_q; its entry at pivot q is y_q * row_q[q], the
+      other rows being zero there, so a vector zero at every pivot has
+      every y_q = 0.
+
+    The reduced row is s * row minus a vector of the span and is zero at
+    every pivot, so by the third point it is empty exactly when row lies
+    in the span.  By the second, the stored rows span exactly the rows
+    kept so far, whatever the rule.  Hence the decisions, and so the kept
+    rows, are the same under every pivot rule and every relabelling of the
+    keys.
     """
 
-    def __init__(self) -> None:
+    def __init__(self, *, fewest_holders: bool = False) -> None:
+        self._fewest_holders = fewest_holders
         self._by_pivot: dict[Hashable, Row] = {}
+        self._holders: dict[Hashable, set] = {}
 
     def reduce(self, row: Mapping) -> Row:
         """Row minus a combination of the stored rows, up to a nonzero factor.
 
-        The result is zero at every pivot, so it is empty exactly when row
-        lies in the span.
-
-        Only the pivots the row carries are visited, smallest first, from a
-        heap that holds every pivot among the row's keys and gains each
-        pivot an elimination brings in.  An elimination at pivot p only
-        brings in keys above p, so the heap pops, in increasing order,
-        exactly the pivots at which the row is nonzero when a scan over all
-        stored pivots in increasing order would reach them; a popped pivot
-        the row no longer carries (cancelled, or pushed twice) is skipped,
-        as the scan would skip it.  Both routes perform the same
-        eliminations in the same order, so they return the same row.  Each
-        elimination is combine(a, row, b, base) done in place on the row,
-        so that the keys it brings in are seen in the same pass.  The row is
+        The result is primitive and zero at every pivot, so it is empty
+        exactly when row lies in the span; it is unique up to its sign.
+        It is s * row - sum_q c_q * row_q over the pivots q the row carries,
+        where s > 0 is the least int making every c_q = s * row[q] /
+        row_q[q] an integer, divided by the gcd of its entries.  The row is
         a copy of the argument; stored rows are only read.
         """
-        row = {k: x for k, x in row.items() if x}
         by_pivot = self._by_pivot
-        heap = [k for k in row if k in by_pivot]
-        heapq.heapify(heap)
-        while heap:
-            pivot = heapq.heappop(heap)
-            x = row.get(pivot)
-            if not x:
-                continue
-            base = by_pivot[pivot]
-            p = base[pivot]
-            g = math.gcd(p, x)
-            a, b = p // g, x // g
-            if a != 1:
-                row = {k: a * v for k, v in row.items()}
+        row = {k: x for k, x in row.items() if x}
+        steps = [(by_pivot[q], q, x) for q, x in row.items() if q in by_pivot]
+        s = 1
+        for base, q, x in steps:
+            d = abs(base[q]) // math.gcd(base[q], x)
+            s = s * d // math.gcd(s, d)
+        if s != 1:
+            row = {k: s * x for k, x in row.items()}
+        for base, q, x in steps:
+            c = s * x // base[q]
             for k, y in base.items():
-                v = row.get(k)
-                if v is None:
-                    row[k] = -b * y
-                    if k in by_pivot:
-                        heapq.heappush(heap, k)
+                v = row.get(k, 0) - c * y
+                if v:
+                    row[k] = v
                 else:
-                    v -= b * y
-                    if v:
-                        row[k] = v
-                    else:
-                        del row[k]
-            row = _normalize_row(row)
-        return row
+                    del row[k]
+        return _normalize_row(row)
 
     def add(self, row: Mapping) -> bool:
-        """Insert if independent of the current span; return whether it was."""
+        """Insert if independent of the current span; return whether it was.
+
+        The reduced row is stored under its pivot p, and every stored row
+        carrying p, found in _holders, is cleared at p and made primitive.
+        """
         red = self.reduce(row)
         if not red:
             return False
-        red = _normalize_row(red)
-        self._by_pivot[min(red)] = red
+        by_pivot, holders = self._by_pivot, self._holders
+        if self._fewest_holders:
+            p = min(red, key=lambda k: (len(holders.get(k, ())), k))
+        else:
+            p = min(red)
+        stale = holders.pop(p, ())
+        for k in red:
+            holders.setdefault(k, set()).add(p)
+        x = red[p]
+        rest = [(k, z) for k, z in red.items() if k != p]
+        for q in stale:
+            base = by_pivot[q]
+            y = base.pop(p)
+            g = math.gcd(x, y)
+            a, b = abs(x) // g, (y if x > 0 else -y) // g  # a * y == b * x
+            if a != 1:
+                base = {k: a * v for k, v in base.items()}
+            for k, z in rest:
+                v = base.get(k)
+                if v is None:
+                    base[k] = -b * z
+                    holders[k].add(q)
+                else:
+                    v -= b * z
+                    if v:
+                        base[k] = v
+                    else:
+                        del base[k]
+                        holders[k].discard(q)
+            by_pivot[q] = _normalize_row(base)
+        by_pivot[p] = red
         return True
 
     def __len__(self) -> int:
@@ -120,20 +165,11 @@ class Factorization:
     sorted union of the column keys to 0..n-1, column j's unit key to n + j
     and the marker to n + k.  The map is strictly increasing on each block
     and every block sorts before the next, so it preserves the order of
-    every pair of keys.  IntEchelon compares keys only by order, so it
-    stores the rows it would store for the tuple keys of solve, relabelled.
-
-    Construction puts every column into one IntEchelon, runs the dependence
-    check, and then back-substitutes: for each pivot p, from the largest
-    down, the row at p becomes s * row - sum_q c_q * row_q over the larger
-    pivots q it carries, divided by the gcd of its entries, where s > 0 is
-    the least multiple making every c_q = s * row[q] / row_q[q] an integer.
-    The rows at q > p are by then zero at every other pivot, so this zeroes
-    the row at every q and leaves its other pivot entries alone.  They only
-    carry keys >= q > p, so p stays the row's smallest key.  Since s != 0
-    the step is invertible, so the stored rows still span the same space
-    with the same pivots.  Every stored row is then zero at every other
-    pivot.
+    every pair of keys, and the smallest-key rule picks the pivots it
+    would pick on the tuple keys of solve.  Every column row goes into one
+    smallest-key IntEchelon, whose rows come back-substituted: each is zero
+    at every other pivot.  solve is then one IntEchelon.reduce of the
+    target.
 
     solve reads the stored rows and never writes them, and the object has
     no other state, so every call sees the rows as construction left them
@@ -146,63 +182,35 @@ class Factorization:
         n, k = len(keys), len(columns)
         self._index = {w: i for i, w in enumerate(keys)}
         self._n, self._k = n, k
-        ech = IntEchelon()
+        self._echelon = IntEchelon()
         for j, col in enumerate(columns):
             row = {self._index[w]: x for w, x in col.items() if x}
             row[n + j] = 1
-            ech.add(row)
-        rows = ech._by_pivot
-        if sum(1 for p in rows if p < n) < k:
+            self._echelon.add(row)
+        if sum(1 for p in self._echelon._by_pivot if p < n) < k:
             raise ValueError("columns are linearly dependent")
-        # pivot -> (pivot entry, the other entries as (key, value) pairs)
-        self._rows: dict[int, tuple[int, tuple[tuple[int, int], ...]]] = {}
-        for p in sorted(rows, reverse=True):
-            # rows[p] carries no key below p, so its stored pivots are all above p
-            row = self._eliminate(rows[p])
-            self._rows[p] = (row.pop(p), tuple(row.items()))
 
-    def _eliminate(self, row: Mapping[int, int]) -> Row:
-        """s * row - sum_q c_q * row_q over the stored pivots q of row, made primitive.
+    def carries(self, key: Hashable) -> bool:
+        """Whether some column has a nonzero entry at key."""
+        return key in self._index
 
-        s > 0 is the least int making every c_q = s * row[q] / row_q[q] an
-        integer.  Every stored row is zero at every other pivot, so
-        subtracting c_q * row_q zeroes the entry at q and changes no other
-        pivot entry: one pass over the row's own pivots leaves the result
-        zero at each of them.  The result is divided by the gcd of its
-        entries.  Stored rows are only read.
-        """
-        rows = self._rows
-        steps = [(q, rows[q], x) for q, x in row.items() if q in rows]
-        s = 1
-        for _, (p, _), x in steps:
-            d = abs(p) // math.gcd(p, x)
-            s = s * d // math.gcd(s, d)
-        out = {q: s * x for q, x in row.items()}
-        for q, (p, rest), x in steps:
-            del out[q]
-            c = s * x // p
-            for key, y in rest:
-                out[key] = out.get(key, 0) - c * y
-        return _normalize_row({q: x for q, x in out.items() if x})
+    def solve(self, target: Mapping) -> Optional[tuple[dict[int, int], int]]:
+        """Like solve, with only the nonzero numerators, as {column index: numerator}.
 
-    def solve(self, target: Mapping) -> Optional[tuple[list[int], int]]:
-        """See solve; None when target is outside the span of the columns.
-
-        The answer is the one IntEchelon.reduce gives on the tuple-keyed
-        rows of solve.  The target becomes the int-keyed row of solve, with
-        the marker n + k.  A nonzero entry at a key no column carries gives
-        None at once: no stored row carries that key, so no reduction can
-        clear it, and the class block stays nonzero on both routes.
-        Otherwise _eliminate gives r = s * target - sum_j x_j * column_j
-        with s > 0, zero at every pivot, in one pass.  When the target is
+        None when target is outside the span of the columns.  The target
+        becomes the int-keyed row of solve, with the marker n + k.  A
+        nonzero entry at a key no column carries gives None at once: no
+        stored row carries that key, so no reduction can clear it.
+        Otherwise reduce gives r = s * target - sum_j x_j * column_j with
+        s > 0, zero at every pivot, divided by the positive gcd of its
+        entries, so its marker entry is positive.  When the target is
         sum_j y_j * column_j, the row (0 | -y | 1) differs from the target
-        row by a combination of column rows, so r - s * (0 | -y | 1) lies in
-        the span of the stored rows and is zero at every pivot, hence 0.
-        Any reduced target, this one or the heap's, is thus a nonzero
-        multiple of (0 | -y | 1), so the primitive one with a positive
-        marker is unique, and both routes return it.  When the target is
-        outside the span no such y exists, and the class block of the
-        reduced target is nonzero on both routes.
+        row by a combination of column rows, so r - s' * (0 | -y | 1), for
+        s' the marker entry of r, lies in the span of the stored rows.  It
+        is zero at every pivot, all of which lie in the class block, hence
+        0: the unit block of r holds -s' * y.  When the target is outside
+        the span no such y exists, and the class block of r is nonzero.
+        The numerators come in increasing column index.
         """
         index, n, k = self._index, self._n, self._k
         row = {}
@@ -213,10 +221,11 @@ class Factorization:
                     return None
                 row[i] = x
         row[n + k] = 1
-        red = self._eliminate(row)
+        red = self._echelon.reduce(row)
         if any(q < n for q in red):
             return None
-        return [-red.get(n + j, 0) for j in range(k)], red[n + k]
+        marker = red.pop(n + k)
+        return {q - n: -x for q, x in sorted(red.items())}, marker
 
 
 def solve(
@@ -227,22 +236,26 @@ def solve(
     Returns None when target is outside the span of the columns and raises
     ValueError when the columns are linearly dependent.  The denominator is
     positive and shares no factor with all numerators at once.  This is
-    Factorization(columns).solve(target); hold the Factorization to answer
-    several targets over the same columns.
+    Factorization(columns).solve(target) with the numerators listed for
+    every column; hold the Factorization to answer several targets over
+    the same columns.
 
     Each column c_j becomes the row with entries c_j[w] at (0, w) and 1 at
     (1, j); the target becomes t[w] at (0, w) and 1 at the marker (2,).  The
     class block (0, .) sorts before the unit block (1, .), which sorts
-    before the marker.  Every row the elimination produces from the target
-    is s * target - sum_j x_j * column_j with s != 0, since column rows have
-    no marker entry and every step rescales the target row by a nonzero
-    factor before subtracting column rows.  The reduced target is 0 at every
-    pivot.  A row's pivot is its smallest key, so a stored row with any
-    class-block entry has its pivot there; when the columns are independent
+    before the marker.  The reduced target is s * target - sum_j x_j *
+    column_j with s != 0, since column rows have no marker entry, and it
+    is 0 at every pivot.  A reduced row pivots at its smallest key, so a
+    column whose reduced row has any class-block entry pivots there, and
+    later updates move no pivot; when the columns are independent
     all k pivots lie in the class block, and the class block of the reduced
     target, s * t - sum x_j c_j, is 0 exactly when t is in the span; then
     t = sum (x_j / s) c_j and the unit block holds -x.  A dependent column
     reduces to 0 in the class block, so its pivot falls in the unit block.
     Factorization keys these blocks by ints in the same order.
     """
-    return Factorization(columns).solve(target)
+    solved = Factorization(columns).solve(target)
+    if solved is None:
+        return None
+    numerators, denominator = solved
+    return [numerators.get(j, 0) for j in range(len(columns))], denominator

@@ -12,9 +12,10 @@ never affects soundness; certification of a basis vector is the exact
 test that its whole support has norm^2 <= N^2.
 
 One call graph: full_basis builds all per-basis state (the windows, each
-orbit's pushforward kernel, the span-window ball, a dominant-conjugate memo
-and an int_norm memo) and passes it down full_basis -> orbital_basis ->
-spanning_set -> pushforward, and orbital_basis -> hnf_certified_split.
+orbit's pushforward kernel, the span-window ball, a dominant-conjugate
+memo, an int_norm memo and the boundary echelon's weight ids) and passes
+it down full_basis -> orbital_basis -> spanning_set -> pushforward, and
+orbital_basis -> hnf_certified_split.
 Every orbit filters the one ball on its Levi nodes, and every window test
 compares rootdata.int_norm(w) with rootdata.int_norm_bound of the window,
 the same test as with Fraction norms.  No state outlives a full_basis call.
@@ -202,6 +203,7 @@ def orbital_basis(
     ball: Sequence[Weight],
     folded: dict[Weight, Weight],
     norm_memo: dict[Weight, int],
+    ids: dict[Weight, int],
 ) -> list[GeometricBasisVector]:
     """Basis of the orbit's K-theory modulo the classes already in echelon.
 
@@ -210,7 +212,9 @@ def orbital_basis(
     vector is added to it, and no other row is.  kernel, ball and folded
     are passed to spanning_set; norm_memo is an int_norm memo passed to
     hnf_certified_split, which fills it with every support weight, so it
-    also serves the certification check.
+    also serves the certification check.  ids maps each weight to the int
+    key of echelon's rows, assigned in first-seen order; the keys are only
+    labels, so they change no decision (see IntEchelon).
 
     Working modulo the boundary only needs the strata strictly below the
     orbit in the closure order; they all come earlier, since a boundary
@@ -241,7 +245,8 @@ def orbital_basis(
     for tracked, certified in [(t, True) for t in split.certified] + [
         (t, False) for t in split.provisional
     ]:
-        if not echelon.add(tracked.kclass.as_row()):
+        row = {ids.setdefault(w, len(ids)): c for w, c in tracked.kclass.coeffs}
+        if not echelon.add(row):
             continue  # already in the span of earlier vectors
         combination = tuple((candidates[t][0], n) for t, n in tracked.combination)
         rank = sum(n * candidates[t][1].rank for t, n in tracked.combination)
@@ -266,10 +271,13 @@ def full_basis(rd: RootDatum, bound_sq) -> GeometricBasis:
     """Geometric basis for every orbit, by induction over the closure order.
 
     This call builds all per-basis and per-orbit state: the windows, each
-    orbit's pushforward kernel, the span-window ball, the fold memo and the
-    int_norm memo; all of it is dropped when the call returns.  Building a
-    kernel checks its orbit's subset cap first, so every cap is checked
-    once, before the ball, which can dwarf the check, is enumerated.
+    orbit's pushforward kernel, the span-window ball, the fold memo, the
+    int_norm memo and the boundary echelon with its weight ids; all of it
+    is dropped when the call returns.  The boundary echelon pivots at the
+    key held by the fewest stored rows, which keeps its back-substitution
+    sparse.  Building a kernel checks its orbit's subset cap first, so
+    every cap is checked once, before the ball, which can dwarf the check,
+    is enumerated.
     """
     win = _windows(rd, bound_sq)
     orbits = tuple(classify_orbits(rd))
@@ -278,11 +286,12 @@ def full_basis(rd: RootDatum, bound_sq) -> GeometricBasis:
     ball = enumerate_levi_dominant(rd, (), win.span_sq)
     folded: dict[Weight, Weight] = {}
     norm_memo: dict[Weight, int] = {}
+    ids: dict[Weight, int] = {}
     strata: dict[int, tuple[GeometricBasisVector, ...]] = {}
-    echelon = IntEchelon()
+    echelon = IntEchelon(fewest_holders=True)
     for orbit, kernel in zip(orbits, kernels):  # by (dimension, id)
         strata[orbit.id] = tuple(
-            orbital_basis(rd, orbit, echelon, win, kernel, ball, folded, norm_memo)
+            orbital_basis(rd, orbit, echelon, win, kernel, ball, folded, norm_memo, ids)
         )
     return GeometricBasis(
         type_label=rd.type_label,

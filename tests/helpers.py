@@ -128,7 +128,13 @@ def pushforward_reference(rd, gd, phi):
 
 
 class ScanIntEchelon:
-    """kcone.linalg.IntEchelon with a reduce that scans every stored pivot."""
+    """A forward echelon whose reduce scans every stored pivot in increasing order.
+
+    Each row pivots at its smallest key and is zero at the pivots stored
+    before it; no row is back-substituted.  The reference for
+    kcone.linalg.IntEchelon's decisions and pivots under its smallest-key
+    rule.
+    """
 
     def __init__(self) -> None:
         self._pivots = []
@@ -162,12 +168,12 @@ class ScanIntEchelon:
         return True
 
 
-def heap_solve(columns, target):
+def tuple_key_solve(columns, target):
     """kcone.linalg.solve by one IntEchelon.reduce of the target over tuple keys.
 
     Column j is the row c_j[w] at (0, w) and 1 at (1, j), the target is
-    t[w] at (0, w) and 1 at the marker (2,); the target is reduced by the
-    heap over the stored pivots and read off its unit block.  Returns
+    t[w] at (0, w) and 1 at the marker (2,); the target is reduced over
+    the stored pivots and read off its unit block.  Returns
     (numerators, denominator) or None, and raises ValueError on dependent
     columns, as linalg.solve does.
     """

@@ -18,12 +18,14 @@ from kcone import (
     full_basis,
     gamma_class,
     kclass_add,
+    kclass_from_terms,
     kclass_scale,
     module_to_kclass,
     skyscraper_class,
     weight_sub,
     weyl_dim,
 )
+from kcone import assocvar
 from kcone.linalg import IntEchelon, solve
 
 from helpers import solve_fractions, weyl_orbit
@@ -179,6 +181,27 @@ TAMPERED = [
     (doubled, InternalConsistencyError, "dependent"),
     (non_integer, InternalConsistencyError, "not an integer"),
 ]
+
+
+def test_out_of_bound_weight_next_to_carried_weights_raises_norm_error(
+    monkeypatch, basis_cache, a1, a2
+):
+    # the in-bound weights are carried by certified vectors and skip int_norm;
+    # the weight they do not carry is still tested against the bound
+    basis = basis_cache("A2", 50)
+    carried = basis.certified_vectors()[-1].kclass
+    normed = []
+    real_int_norm = assocvar.int_norm
+    monkeypatch.setattr(assocvar, "int_norm", lambda rd, w: normed.append(w) or real_int_norm(rd, w))
+    assert express_in_geometric_basis(a2, carried, basis) == {basis.certified_vectors()[-1]: 1}
+    assert normed == []
+    kc = kclass_from_terms(a2, [*carried.coeffs, ((9, 9), 1)])
+    with pytest.raises(BoundTooSmallError, match=r"\(9, 9\) has norm\^2 162 > bound\^2 50;"):
+        express_in_geometric_basis(a2, kc, basis)
+    assert normed == [(9, 9)]
+    # the bound error comes before the dependence error, as before
+    with pytest.raises(BoundTooSmallError, match=r"\(8,\) has norm\^2 32 > bound\^2 16;"):
+        express_in_geometric_basis(a1, gamma_class(a1, (8,)), doubled(basis_cache("A1", 16)))
 
 
 def test_residual_raises_bound_error(basis_cache, a1):

@@ -13,7 +13,7 @@ from kcone import (
     module_to_kclass,
     weight_norm_sq,
 )
-from kcone.linalg import Factorization, IntEchelon, solve
+from kcone.linalg import Factorization, IntEchelon, _normalize_row, solve
 from kcone.repcalc import _root_coefficients
 
 from helpers import (
@@ -21,9 +21,10 @@ from helpers import (
     cartan_inverse_fractions,
     flatten_kclass,
     gram_fractions,
-    heap_solve,
+    rank_steps,
     rational_rank,
     solve_fractions,
+    tuple_key_solve,
 )
 
 
@@ -41,7 +42,7 @@ def sparse(row, keys, rng=None):
 
 
 def assert_matches_reference(columns, target, keys=None, sparse_columns=None, sparse_target=None):
-    """solve on dict rows against heap_solve on them and the Fraction reference on dense rows.
+    """solve on dict rows against tuple_key_solve on them and the Fraction reference on dense rows.
 
     The dict rows are given, or else built over keys (default 0..m-1).
     """
@@ -55,10 +56,10 @@ def assert_matches_reference(columns, target, keys=None, sparse_columns=None, sp
         with pytest.raises(ValueError, match="dependent"):
             solve(sparse_columns, sparse_target)
         with pytest.raises(ValueError, match="dependent"):
-            heap_solve(sparse_columns, sparse_target)
+            tuple_key_solve(sparse_columns, sparse_target)
         return "dependent"
     answer = solve(sparse_columns, sparse_target)
-    assert answer == heap_solve(sparse_columns, sparse_target)
+    assert answer == tuple_key_solve(sparse_columns, sparse_target)
     assert as_fractions(answer) == expected
     if expected is None:
         return "out of span"
@@ -136,12 +137,20 @@ def seeded_rows(rng, keys, count):
 
 
 def assert_same_as_scan(rows):
-    heap, scan = IntEchelon(), ScanIntEchelon()
+    """IntEchelon against the scan reference: the same decisions, pivots and span.
+
+    A reduced row is unique only up to a nonzero factor.  Both sides are
+    primitive (the scan's once normalized, for a row it leaves untouched),
+    so they agree up to sign.  The stored rows differ, IntEchelon's being
+    back-substituted, but each lies in the scan's span.
+    """
+    ech, scan = IntEchelon(), ScanIntEchelon()
     for row in rows:
-        assert heap.reduce(row) == scan.reduce(row)
-        assert heap.add(row) == scan.add(row)
-        assert sorted(heap._by_pivot) == scan._pivots
-        assert [heap._by_pivot[p] for p in sorted(heap._by_pivot)] == scan._rows
+        reduced = _normalize_row(scan.reduce(row))
+        assert ech.reduce(row) in (reduced, {k: -x for k, x in reduced.items()})
+        assert ech.add(row) == scan.add(row)
+        assert sorted(ech._by_pivot) == scan._pivots
+        assert not any(scan.reduce(r) for r in ech._by_pivot.values())
 
 
 def test_int_echelon_matches_linear_scan_on_weight_rows():
@@ -161,6 +170,53 @@ def test_int_echelon_matches_linear_scan_on_solve_rows():
         target = seeded_rows(rng, [(0, w) for w in weights], 1)[0]
         target[(2,)] = 1
         assert_same_as_scan(rows + [target])
+
+
+def assert_back_substituted(ech):
+    """Every stored row is primitive, nonzero at its own pivot and zero at
+    every other pivot, and _holders is the index recomputed from the rows."""
+    rows = ech._by_pivot
+    for p, row in rows.items():
+        assert row.get(p) and all(row.values())
+        assert math.gcd(*row.values()) == 1
+        assert not any(q in row for q in rows if q != p)
+    holders = {}
+    for p, row in rows.items():
+        for k in row:
+            holders.setdefault(k, set()).add(p)
+    assert ech._holders == holders
+
+
+@pytest.mark.parametrize("fewest_holders", [False, True])
+def test_int_echelon_invariants_under_both_pivot_rules(fewest_holders):
+    rng = random.Random(63)
+    for _ in range(80):
+        keys = rng.sample(range(40), rng.randint(1, 16))
+        rows = seeded_rows(rng, keys, rng.randint(1, 20))
+        axis = sorted(keys)
+        steps = rank_steps([[row.get(k, 0) for k in axis] for row in rows])
+        ech = IntEchelon(fewest_holders=fewest_holders)
+        for row, grows in zip(rows, steps):
+            assert ech.add(row) == grows
+            assert_back_substituted(ech)
+        assert len(ech) == rational_rank([[row.get(k, 0) for k in axis] for row in rows])
+
+
+def test_pivot_rules_examples():
+    rows = [{0: 1, 1: 1, 2: 1}, {1: 1, 3: 2}, {3: 1, 2: 1}]
+    # fewest holders: 3 (no holder) over 1 (one), then 2 (one) over 1 (two);
+    # adding the third row clears 2 from row 0: 2 * row0 - (2 at 2, -1 at 1)
+    sparse = IntEchelon(fewest_holders=True)
+    assert all(sparse.add(row) for row in rows)
+    assert sparse._by_pivot == {0: {0: 2, 1: 3}, 3: {1: 1, 3: 2}, 2: {2: 2, 1: -1}}
+    assert_back_substituted(sparse)
+    # smallest key: pivots 0, 1, 2, each new row cleared from row 0
+    smallest = IntEchelon()
+    assert all(smallest.add(row) for row in rows)
+    assert smallest._by_pivot == {0: {0: 1, 3: -3}, 1: {1: 1, 3: 2}, 2: {3: 1, 2: 1}}
+    assert_back_substituted(smallest)
+    # the same span: a combination of the rows is rejected by both
+    assert not sparse.add({0: 1, 1: 2, 2: 2, 3: 3}) and not smallest.add({0: 1, 1: 2, 2: 2, 3: 3})
 
 
 def test_solve_examples():
@@ -240,6 +296,15 @@ def test_solve_matches_fraction_reference():
     }
 
 
+def listed(answer, k):
+    """A Factorization answer with a numerator for each of the k columns, as solve gives it."""
+    if answer is None:
+        return None
+    numerators, denominator = answer
+    assert all(numerators.values()) and list(numerators) == sorted(numerators)
+    return [numerators.get(j, 0) for j in range(k)], denominator
+
+
 def test_factorization_answers_every_target_as_a_fresh_solve():
     rng = random.Random(20261018)
     seen = set()
@@ -250,16 +315,16 @@ def test_factorization_answers_every_target_as_a_fresh_solve():
             seen.add("dependent")
             continue
         factorization = Factorization(sparse_columns)
-        stored = copy.deepcopy(factorization._rows)
+        stored = copy.deepcopy(factorization._echelon._by_pivot)
         targets = [sparse_target] + [
             sparse(seeded_target(rng, columns, len(keys)), keys, rng) for _ in range(4)
         ]
         # every target, then the first again, after the others were answered
         for t in targets + targets[:1]:
-            answer = factorization.solve(t)
+            answer = listed(factorization.solve(t), len(columns))
             assert answer == solve(sparse_columns, t)
             seen.add("out of span" if answer is None else "solved")
-        assert factorization._rows == stored
+        assert factorization._echelon._by_pivot == stored
     assert seen == {"solved", "out of span", "dependent"}
 
 
@@ -288,8 +353,8 @@ def test_factorization_matches_references_on_certified_sets(basis_cache, bound):
     far = (-40, -40)
     targets += [{far: 1}, {**targets[0], far: -2}]
     keys = sorted({w for col in columns for w in col} | {far})
-    answers = [factorization.solve(t) for t in targets]
-    assert answers == [heap_solve(columns, t) for t in targets]
+    answers = [listed(factorization.solve(t), len(columns)) for t in targets]
+    assert answers == [tuple_key_solve(columns, t) for t in targets]
     assert [a is None for a in answers] == [False] * 6 + [True, True]
     # the Fraction reference costs seconds on the 197 columns of A2@200
     dense = [[col.get(w, 0) for w in keys] for col in columns]

@@ -259,16 +259,16 @@ def test_spanning_set_on_shared_ball_matches_reference(label, bound):
 def test_orbital_basis_grows_echelon_by_returned_vectors(a2):
     win = orbitalg._windows(a2, 18)
     ball = enumerate_levi_dominant(a2, (), win.span_sq)
-    folded, norm_memo = {}, {}
-    ech = IntEchelon()
+    folded, norm_memo, ids = {}, {}, {}
+    ech = IntEchelon(fewest_holders=True)
     for orbit in classify_orbits(a2):
         kernel = pushforward_kernel(a2, grading_data(a2, orbit))
-        state = (win, kernel, ball, folded, norm_memo)
+        state = (win, kernel, ball, folded, norm_memo, ids)
         before = len(ech)
         vectors = orbital_basis(a2, orbit, ech, *state)
         assert len(ech) == before + len(vectors)
-        # every returned class now lies in the span
-        assert not any(ech.add(v.kclass.as_row()) for v in vectors)
+        # every returned class now lies in the span, its rows keyed by ids
+        assert not any(ech.add({ids[w]: c for w, c in v.kclass.coeffs}) for v in vectors)
         # a second pass over the same orbit finds nothing new
         assert orbital_basis(a2, orbit, ech, *state) == []
         assert len(ech) == before + len(vectors)
@@ -294,26 +294,52 @@ def test_full_basis_adds_each_hermite_output_once(monkeypatch, b2):
     assert sum(offered) > len(basis.all_vectors())  # some outputs were rejected
 
 
-@pytest.mark.parametrize("label,bound", [("A2", 18), ("B2", 16), ("G2", 8), ("A1xA1xA1", 2)])
-def test_rejected_rows_lie_in_the_span_of_the_kept_rows(monkeypatch, label, bound):
-    rd = build_root_datum(label)
-    offered = []
+def recorded_full_basis(monkeypatch, rd, bound, fewest_holders=True):
+    """full_basis(rd, bound) with its boundary echelon built under the given
+    pivot rule, and every row offered to it, as (row, kept) in order."""
+    offered, rules = [], []
     real_add = IntEchelon.add
 
     def recording_add(self, row):
         kept = real_add(self, row)
-        offered.append((KClass(tuple((tuple(-x for x in k), c) for k, c in row.items())), kept))
+        offered.append((dict(row), kept))
         return kept
 
+    def echelon(**rule):
+        rules.append(rule)
+        return IntEchelon(fewest_holders=fewest_holders)
+
     monkeypatch.setattr(IntEchelon, "add", recording_add)
-    full_basis(rd, bound)
+    monkeypatch.setattr(orbitalg, "IntEchelon", echelon)
+    basis = full_basis(rd, bound)
     monkeypatch.undo()
+    assert rules == [{"fewest_holders": True}]  # the rule full_basis asks for
     assert not all(kept for _, kept in offered)  # some rows were rejected
-    axis = sorted({w for kc, _ in offered for w in kc.support()})
-    index = {w: i for i, w in enumerate(axis)}
-    dense = [flatten_kclass(kc, index) for kc, _ in offered]
+    return basis, offered
+
+
+REJECTING_BASES = [("A2", 18), ("B2", 16), ("G2", 8), ("A1xA1xA1", 2)]
+
+
+@pytest.mark.parametrize("label,bound", REJECTING_BASES)
+def test_rejected_rows_lie_in_the_span_of_the_kept_rows(monkeypatch, label, bound):
+    _, offered = recorded_full_basis(monkeypatch, build_root_datum(label), bound)
+    # the row keys are opaque labels: one axis position per key
+    axis = sorted({k for row, _ in offered for k in row})
+    dense = [[row.get(k, 0) for k in axis] for row, _ in offered]
     # a kept row raises the rank of the rows offered before it, a rejected one does not
     assert list(rank_steps(dense)) == [kept for _, kept in offered]
+
+
+@pytest.mark.parametrize("label,bound", REJECTING_BASES)
+def test_pivot_rules_keep_the_same_rows(monkeypatch, label, bound):
+    # the fewest-holders rule of full_basis and the smallest-key rule: the
+    # same rows offered, the same ones kept
+    rd = build_root_datum(label)
+    sparse, sparse_offered = recorded_full_basis(monkeypatch, rd, bound)
+    smallest, smallest_offered = recorded_full_basis(monkeypatch, rd, bound, fewest_holders=False)
+    assert sparse_offered == smallest_offered
+    assert sparse.strata == smallest.strata
 
 
 def test_zero_bound_basis(a1, a2):
