@@ -7,13 +7,18 @@ rational bounds as exact "p/q" strings, so repeated runs are byte-identical.
 
 Exit codes: 0 success, 2 argument/parse errors (including unknown types,
 missing orbit tables and malformed module files), 3 resource-cap errors
-(including windows too large to enumerate), 4 bound-too-small errors.
+(including windows too large to enumerate), 4 bound-too-small errors, 141
+when the reader of stdout closed it early (as in `kcone basis ... | head`):
+no error line is printed, stdout is pointed at os.devnull so the
+shutdown stays silent, and 141 is what a shell reports for a process that
+SIGPIPE ended.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
@@ -45,6 +50,7 @@ EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_RESOURCE = 3
 EXIT_BOUND = 4
+EXIT_BROKEN_PIPE = 141
 
 
 @dataclass
@@ -86,17 +92,6 @@ def _kclass_json(kc: KClass) -> dict:
     return {
         "coeffs": [{"weight": list(w), "coef": c} for w, c in kc.coeffs],
         "rank": kc.rank,
-    }
-
-
-def _vector_json(v: GeometricBasisVector) -> dict:
-    return {
-        "orbit": v.orbit_id,
-        "index": v.index,
-        "certified": v.certified,
-        "rank": v.rank,
-        "combination": [{"levi_weight": list(w), "coef": c} for w, c in v.combination],
-        "kclass": _kclass_json(v.kclass),
     }
 
 
@@ -200,27 +195,102 @@ def cmd_orbits(cfg: RunConfig) -> int:
     return EXIT_OK
 
 
-def _basis_payload(basis: GeometricBasis, orbit_filter: Optional[int]) -> dict:
-    strata = []
-    for orbit in basis.orbits:
-        if orbit_filter is not None and orbit.id != orbit_filter:
-            continue
-        strata.append(
-            {
-                "orbit": orbit.id,
-                "label": orbit.label,
-                "dimension": orbit.dimension,
-                "vectors": [_vector_json(v) for v in basis.strata[orbit.id]],
-            }
+def _json_list(items: list[str], newline: str) -> str:
+    """A JSON list of written items; newline is "\n" plus the indentation of its line."""
+    if not items:
+        return "[]"
+    inner = newline + "  "
+    return "[" + inner + ("," + inner).join(items) + newline + "]"
+
+
+def _vector_text(v: GeometricBasisVector) -> str:
+    """A basis vector as json.dumps(indent=2) writes it inside a basis document.
+
+    There a vector always opens at depth 4 (strata, stratum, vectors,
+    vector), so every indentation below is fixed.  Weights, coefficients
+    and the orbit, index and rank are ints, certified is a bool, and the
+    class's rank is an int or None.
+    """
+    comb = [
+        '{\n              "levi_weight": [\n                '
+        + ",\n                ".join(map(int.__repr__, w))
+        + '\n              ],\n              "coef": '
+        + int.__repr__(c)
+        + "\n            }"
+        for w, c in v.combination
+    ]
+    terms = [
+        '{\n                "weight": [\n                  '
+        + ",\n                  ".join(map(int.__repr__, w))
+        + '\n                ],\n                "coef": '
+        + int.__repr__(c)
+        + "\n              }"
+        for w, c in v.kclass.coeffs
+    ]
+    comb_text = _json_list(comb, "\n          ")
+    terms_text = _json_list(terms, "\n            ")
+    rank = "null" if v.kclass.rank is None else int.__repr__(v.kclass.rank)
+    return (
+        f'{{\n          "orbit": {v.orbit_id:d},\n          "index": {v.index:d},'
+        f'\n          "certified": {"true" if v.certified else "false"},'
+        f'\n          "rank": {v.rank:d},\n          "combination": {comb_text},'
+        f'\n          "kclass": {{\n            "coeffs": {terms_text},'
+        f'\n            "rank": {rank}\n          }}\n        }}'
+    )
+
+
+def _write_basis_json(basis: GeometricBasis, orbit_filter: Optional[int], write) -> None:
+    """Write the basis document, one vector at a time.
+
+    The bytes are json.dumps(payload, indent=2) + "\n" of the payload
+    {"type", "bound_sq", "norm_constant", "span_window_sq",
+    "support_window_sq", "strata"}, whose strata are {"orbit", "label",
+    "dimension", "vectors"}; _vector_text writes each vector, and the
+    fixed text around them is what that encoder writes at those depths
+    (see _json_text).  No payload is built.
+    """
+    enc = encode_basestring_ascii
+    write(
+        f'{{\n  "type": {enc(basis.type_label)},\n  "bound_sq": {enc(str(basis.bound_sq))},'
+        f'\n  "norm_constant": {enc(str(basis.norm_constant))},'
+        f'\n  "span_window_sq": {enc(str(basis.span_window_sq))},'
+        f'\n  "support_window_sq": {enc(str(basis.support_window_sq))},\n  "strata": '
+    )
+    orbits = _shown_orbits(basis, orbit_filter)
+    if not orbits:
+        write("[]\n}\n")
+        return
+    sep = "[\n    "
+    for orbit in orbits:
+        write(
+            f'{sep}{{\n      "orbit": {orbit.id:d},\n      "label": {enc(orbit.label)},'
+            f'\n      "dimension": {orbit.dimension:d},\n      "vectors": '
         )
-    return {
-        "type": basis.type_label,
-        "bound_sq": str(basis.bound_sq),
-        "norm_constant": str(basis.norm_constant),
-        "span_window_sq": str(basis.span_window_sq),
-        "support_window_sq": str(basis.support_window_sq),
-        "strata": strata,
-    }
+        vectors = basis.strata[orbit.id]
+        if not vectors:
+            write("[]\n    }")
+        else:
+            vsep = "[\n        "
+            for v in vectors:
+                write(vsep + _vector_text(v))
+                vsep = ",\n        "
+            write("\n      ]\n    }")
+        sep = ",\n    "
+    write("\n  ]\n}\n")
+
+
+def _write_basis_text(basis: GeometricBasis, orbit_filter: Optional[int], write) -> None:
+    write(f"geometric basis for {basis.type_label}, bound^2 = {basis.bound_sq}\n")
+    for orbit in _shown_orbits(basis, orbit_filter):
+        write(f"orbit {orbit.id} ({orbit.label}, dim {orbit.dimension}):\n")
+        for v in basis.strata[orbit.id]:
+            flag = "certified" if v.certified else "provisional"
+            terms = " ".join(f"{c:+d}[{','.join(map(str, w))}]" for w, c in v.kclass.coeffs)
+            write(f"  #{v.index} rank {v.rank} ({flag}): {terms}\n")
+
+
+def _shown_orbits(basis: GeometricBasis, orbit_filter: Optional[int]):
+    return [o for o in basis.orbits if orbit_filter is None or o.id == orbit_filter]
 
 
 def cmd_basis(cfg: RunConfig) -> int:
@@ -229,21 +299,8 @@ def cmd_basis(cfg: RunConfig) -> int:
         print(f"error: no orbit with id {cfg.orbit} in {cfg.type_label}", file=sys.stderr)
         return EXIT_USAGE
     basis = full_basis(rd, cfg.bound_sq)
-    payload = _basis_payload(basis, cfg.orbit)
-
-    def text_lines():
-        yield f"geometric basis for {cfg.type_label}, bound^2 = {payload['bound_sq']}"
-        for stratum in payload["strata"]:
-            yield f"orbit {stratum['orbit']} ({stratum['label']}, dim {stratum['dimension']}):"
-            for v in stratum["vectors"]:
-                flag = "certified" if v["certified"] else "provisional"
-                terms = " ".join(
-                    f"{t['coef']:+d}[{','.join(str(x) for x in t['weight'])}]"
-                    for t in v["kclass"]["coeffs"]
-                )
-                yield f"  #{v['index']} rank {v['rank']} ({flag}): {terms}"
-
-    _emit(payload, cfg.format, text_lines)
+    write = _write_basis_json if cfg.format == "json" else _write_basis_text
+    write(basis, cfg.orbit, sys.stdout.write)
     return EXIT_OK
 
 
@@ -443,9 +500,18 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+def _stdout_to_devnull() -> None:
+    """Point stdout at os.devnull, so that no later flush meets the closed pipe."""
+    devnull = open(os.devnull, "w")
+    try:
+        os.dup2(devnull.fileno(), sys.stdout.fileno())
+    except (AttributeError, OSError, ValueError):  # a stdout without a file descriptor
+        sys.stdout = devnull
+    else:
+        devnull.close()
+
+
+def _run(args: argparse.Namespace) -> int:
     if args.command == "selftest":
         return cmd_selftest()
     cfg = RunConfig(
@@ -454,15 +520,25 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         orbit=getattr(args, "orbit", None),
         format=args.format,
     )
+    if args.command == "orbits":
+        return cmd_orbits(cfg)
+    if args.command == "basis":
+        return cmd_basis(cfg)
+    if args.command == "acycle":
+        return cmd_acycle(cfg, args.module)
+    if args.command == "pushforward":
+        return cmd_pushforward(cfg, args.phi)
+    raise AssertionError(f"unhandled command {args.command}")
+
+
+def main(argv: Optional[Sequence[str]] = None) -> int:
+    args = _build_parser().parse_args(argv)
     try:
-        if args.command == "orbits":
-            return cmd_orbits(cfg)
-        if args.command == "basis":
-            return cmd_basis(cfg)
-        if args.command == "acycle":
-            return cmd_acycle(cfg, args.module)
-        if args.command == "pushforward":
-            return cmd_pushforward(cfg, args.phi)
+        code = _run(args)
+        sys.stdout.flush()  # a reader that left before the last bytes shows here
+    except BrokenPipeError:
+        _stdout_to_devnull()
+        return EXIT_BROKEN_PIPE
     except BoundTooSmallError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BOUND
@@ -478,7 +554,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except (ValueError, KeyError, TypeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    raise AssertionError(f"unhandled command {args.command}")
+    return code
 
 
 if __name__ == "__main__":

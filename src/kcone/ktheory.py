@@ -26,7 +26,7 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import add
+from operator import mul
 from typing import Iterable, Optional, Sequence
 
 from .linalg import combine
@@ -200,24 +200,139 @@ def pushforward_kernel(rd: RootDatum, gd: GradingData) -> PushforwardKernel:
     )
 
 
-def pushforward(
+class WeightIndex:
+    """Int codes for the weights of a box, and an int id per dominant conjugate.
+
+    The box is lo_i <= w_i <= hi_i.  The code of w is sum (w_i - lo_i) m_i,
+    a mixed radix with the first coordinate most significant: m_{r-1} = 1
+    and m_i = m_{i+1} (hi_{i+1} - lo_{i+1} + 1).  Proof sketch of what the
+    codes give, for weights of the box, where every digit w_i - lo_i lies
+    in [0, hi_i - lo_i]:
+    - code is affine, so code(phi + s) = code(phi) + shift(s) with
+      shift(s) = sum s_i m_i, whenever phi and phi + s lie in the box;
+    - a digit string is the base-(width) expansion of its code, so the
+      code determines w, and decode, the divmod chain from the last
+      coordinate, recovers it;
+    - two codes compare like their digit strings read from the most
+      significant, that is, like the weights in lex order.
+
+    conjugate maps the code of a weight to the id of its dominant conjugate;
+    weights[id] is that dominant weight and norms[id] its int_norm.  Ids
+    are labels, handed out in the order dominant_id first meets a weight.
+    """
+
+    def __init__(self, rd: RootDatum, lo: Sequence[int], hi: Sequence[int]) -> None:
+        self.rd = rd
+        self.lo = tuple(lo)
+        self.widths = tuple(h - l + 1 for l, h in zip(lo, hi))
+        radix = [1] * rd.rank
+        for i in range(rd.rank - 2, -1, -1):
+            radix[i] = radix[i + 1] * self.widths[i + 1]
+        self.radix = tuple(radix)
+        self._base = sum(map(mul, self.lo, radix))
+        self.conjugate: dict[int, int] = {}
+        self.weights: list[Weight] = []
+        self.norms: list[int] = []
+        self._ids: dict[Weight, int] = {}
+
+    @classmethod
+    def around(
+        cls, rd: RootDatum, weights: Sequence[Weight], kernels: Sequence["PushforwardKernel"]
+    ) -> "WeightIndex":
+        """The index whose box holds w + s for every w of weights and offset s of every kernel."""
+        axes = list(zip(*weights)) or [(0,)] * rd.rank
+        shifts = list(zip(*(s for kernel in kernels for s, _ in kernel.offsets)))
+        lo = [min(a) + min(s) for a, s in zip(axes, shifts)]
+        hi = [max(a) + max(s) for a, s in zip(axes, shifts)]
+        return cls(rd, lo, hi)
+
+    def code(self, w: Sequence[int]) -> int:
+        return sum(map(mul, w, self.radix)) - self._base
+
+    def shift(self, s: Sequence[int]) -> int:
+        return sum(map(mul, s, self.radix))
+
+    def decode(self, code: int) -> Weight:
+        w = [0] * len(self.lo)
+        for i in range(len(w) - 1, -1, -1):
+            code, digit = divmod(code, self.widths[i])
+            w[i] = self.lo[i] + digit
+        return tuple(w)
+
+    def dominant_id(self, w: Weight) -> int:
+        """The id of the dominant weight w, given a new one if it has none yet."""
+        i = self._ids.get(w)
+        if i is None:
+            i = self._ids[w] = len(self.weights)
+            self.weights.append(w)
+            self.norms.append(int_norm(self.rd, w))
+        return i
+
+    def fold(self, codes: Iterable[int]) -> None:
+        """Enter the codes into conjugate, folding only those it lacks."""
+        for c in sorted(set(codes).difference(self.conjugate)):
+            self.conjugate[c] = self.dominant_id(dominant_conjugate(self.rd, self.decode(c)))
+
+
+def pushforward_classes(
     rd: RootDatum,
     kernel: PushforwardKernel,
-    phi: Sequence[int],
-    folded: Optional[dict[Weight, Weight]] = None,
-) -> KClass:
+    index: WeightIndex,
+    phis: Sequence[Weight],
+    codes: Sequence[int],
+) -> list[tuple[Weight, tuple[tuple[int, int], ...], int]]:
+    """The distinct pushforward classes of phis, each with its first phi, in order.
+
+    Each phi must be dominant for the kernel's Levi, codes[j] must be
+    index.code(phis[j]), and phis[j] + s must lie in the index's box for
+    every offset s.  Returns (phi, pairs, rank) triples, pairs being the
+    class as (id, coefficient) pairs of index sorted by id, and rank the
+    Levi dimension of phi (weyl_forms of the Levi, stored in the kernel).
+
+    The class of phi is sum over offsets (s, c) of c [dominant conjugate of
+    phi + s], and index.conjugate[codes[j] + shift(s)] is the id of that
+    conjugate.  So the key (rank, folded ids in offset order) determines
+    the class, and the class is built once per key, from the first phi in
+    order that has the key.  A class is kept unless an earlier key gave an
+    equal one.  The kept phi are then exactly the first phi of each
+    distinct class: a phi that first gives its class is the first of its
+    key, and every phi before it belongs to a key met before it.  So the
+    result is [(phi, pushforward(phi)) for phi in phis] with every class
+    equal to an earlier one dropped, in the same order.
+    """
+    shifts = [index.shift(s) for s, _ in kernel.offsets]
+    coefs = [c for _, c in kernel.offsets]
+    index.fold(set().union(*(map(d.__add__, codes) for d in shifts)))
+    get = index.conjugate.__getitem__
+    columns = [list(map(get, map(d.__add__, codes))) for d in shifts]
+    forms, denominator = kernel.forms, kernel.denominator
+    ranks = [weyl_dim_from_forms(forms, denominator, phi) for phi in phis]
+    first: dict[tuple[int, ...], int] = {}
+    for j, key in enumerate(zip(ranks, *columns)):
+        if key not in first:
+            first[key] = j
+    seen: set = set()
+    out = []
+    for key, j in first.items():
+        acc: dict[int, int] = {}
+        for i, c in zip(key[1:], coefs):
+            acc[i] = acc.get(i, 0) + c
+        found = (tuple(sorted(item for item in acc.items() if item[1])), key[0])
+        if found not in seen:
+            seen.add(found)
+            out.append((phis[j], *found))
+    return out
+
+
+def pushforward(rd: RootDatum, kernel: PushforwardKernel, phi: Sequence[int]) -> KClass:
     """Class of the Levi representation phi pushed along the orbit resolution.
 
     kernel is pushforward_kernel(rd, gd) of the orbit.  phi must be dominant
     for the Levi of the grading.  The rank is the Levi dimension of phi.
-    folded, when given, memoises dominant conjugates across calls.
-
-    The kernel changes no class: the result is kclass_from_terms(rd,
-    [(phi + s, c) for s, c in offsets], weyl_dim(rd, levi, phi)).  The loop
-    below is kclass_from_terms' own, with the offsets' coefficients nonzero
-    and each fold looked up first in folded, whose hits are what
-    dominant_conjugate would return; weyl_dim evaluates the same weyl_forms
-    of the same Levi that the kernel stores.
+    This is pushforward_classes on phi alone, in an index around phi: the
+    class is sum over offsets (s, c) of c [dominant conjugate of phi + s],
+    the same as kclass_from_terms(rd, [(phi + s, c) ...], weyl_dim(rd,
+    levi, phi)), with its pairs mapped back to weights.
     """
     phi = tuple(phi)
     if len(phi) != rd.rank:
@@ -227,17 +342,9 @@ def pushforward(
             raise ValueError(
                 f"{phi} is not dominant for the Levi {list(kernel.levi_simple)} of {kernel.where}"
             )
-    rank = weyl_dim_from_forms(kernel.forms, kernel.denominator, phi)
-    if folded is None:
-        folded = {}
-    acc: dict[Weight, int] = {}
-    for s, c in kernel.offsets:
-        w = tuple(map(add, phi, s))
-        dw = folded.get(w)
-        if dw is None:
-            dw = folded[w] = dominant_conjugate(rd, w)
-        acc[dw] = acc.get(dw, 0) + c
-    return KClass(tuple(sorted(item for item in acc.items() if item[1])), rank)
+    index = WeightIndex.around(rd, [phi], [kernel])
+    [(_, pairs, rank)] = pushforward_classes(rd, kernel, index, [phi], [index.code(phi)])
+    return KClass(tuple(sorted((index.weights[i], c) for i, c in pairs)), rank)
 
 
 def skyscraper_class(rd: RootDatum, phi: Sequence[int]) -> KClass:
@@ -277,10 +384,19 @@ class _TrackedRow:
 
 @dataclass(frozen=True)
 class TrackedVector:
-    """A class together with the integer combination of inputs that built it."""
+    """A split output, with the integer combination of inputs that built it.
 
-    kclass: KClass
+    row maps each key of the output to its nonzero coefficient; the keys
+    are the inputs' own: weights for KClass inputs, ids of the index for
+    id-pair inputs.  kclass reads a weight-keyed row as a KClass.
+    """
+
+    row: dict
     combination: tuple[tuple[int, int], ...]  # (input index, coefficient)
+
+    @property
+    def kclass(self) -> KClass:
+        return KClass(tuple(sorted(self.row.items())))
 
 
 @dataclass(frozen=True)
@@ -291,15 +407,18 @@ class HnfSplit:
 
 def hnf_certified_split(
     rd: RootDatum,
-    vectors: Sequence[KClass],
+    vectors: Sequence,
     support_norm_sq,
     certify_norm_sq,
-    norm_memo: Optional[dict[Weight, int]] = None,
+    index: Optional[WeightIndex] = None,
 ) -> HnfSplit:
     """Hermite reduction of the integer row lattice spanned by the vectors.
 
-    Every support weight must be dominant with norm^2 <= support_norm_sq,
-    else ValueError.  Columns are the weights in the inputs' supports,
+    The vectors are KClasses, or with index, classes as (id, coefficient)
+    pairs of index, whose weights are dominant by construction.  Every
+    support weight of a KClass must be dominant, else ValueError, and
+    every support weight must have norm^2 <= support_norm_sq, else
+    ValueError.  Columns are the weights in the inputs' supports,
     processed from the largest (norm^2, lex) down; no row ever has an entry
     outside them, so the result is the reduction over the whole window.  A
     row whose pivot has norm^2 <= certify_norm_sq therefore has no support
@@ -310,10 +429,10 @@ def hnf_certified_split(
     vectors that produced it.  Only unimodular row operations are used, so
     tracked combinations reproduce the rows exactly.  Norms are the ints
     int_norm(w), compared with int_norm_bound of each window: the same
-    tests and the same column order as with Fraction norms.  norm_memo,
-    when given, memoises int_norm across calls and is filled with every
-    support weight; every call still checks each of its weights for dominance and
-    against its own support window.
+    tests and the same column order as with Fraction norms.  KClass inputs
+    get ids of their own, in first-seen order, so both kinds of input run
+    the same reduction on id rows over columns sorted by (norms[id],
+    weights[id]); the ids are labels and change no step.
 
     Rows are keyed by column position, an int, and position order is
     (norm^2, lex) order.  Each row waits in a bucket under its leading
@@ -324,39 +443,43 @@ def hnf_certified_split(
     without an entry there is filed under its new leading column.  The
     pivot is the least row by (|entry|, input order), a total order, and
     every other row is reduced by the pivot alone, so bucket order cannot
-    change the split.  build maps the positions back to weights.
+    change the split.  build maps the positions back to the inputs' keys.
     """
     support_norm_sq = Fraction(support_norm_sq)
     support_bound = int_norm_bound(rd, support_norm_sq)
     certify_bound = int_norm_bound(rd, certify_norm_sq)
-    if norm_memo is None:
-        norm_memo = {}
-    norm: dict[Weight, int] = {}
-    for kc in vectors:
-        for w, _ in kc.coeffs:
-            if w not in norm:
-                if len(w) != rd.rank or not is_dominant(w):
-                    raise ValueError(f"class support {w} lies outside the dominant chamber")
-                n = norm_memo.get(w)
-                if n is None:
-                    n = norm_memo[w] = int_norm(rd, w)
-                norm[w] = n
-                if n > support_bound:
-                    raise ValueError(
-                        f"class support {w} lies outside the support window "
-                        f"norm^2 <= {support_norm_sq}"
-                    )
+    if index is None:
+        ids: dict[Weight, int] = {}
+        weights: list[Weight] = []
+        norms: list[int] = []
+        for kc in vectors:
+            for w, _ in kc.coeffs:
+                if w not in ids:
+                    if len(w) != rd.rank or not is_dominant(w):
+                        raise ValueError(f"class support {w} lies outside the dominant chamber")
+                    ids[w] = len(weights)
+                    weights.append(w)
+                    norms.append(int_norm(rd, w))
+        rows = [[(ids[w], c) for w, c in kc.coeffs] for kc in vectors]
+    else:
+        weights, norms, rows = index.weights, index.norms, vectors
 
-    columns = sorted(norm, key=lambda w: (norm[w], w))
-    position = {w: i for i, w in enumerate(columns)}
+    columns = sorted({i for row in rows for i, _ in row}, key=lambda i: (norms[i], weights[i]))
+    if columns and norms[columns[-1]] > support_bound:
+        raise ValueError(
+            f"class support {weights[columns[-1]]} lies outside the support window "
+            f"norm^2 <= {support_norm_sq}"
+        )
+    keys = columns if index is not None else [weights[i] for i in columns]
+    position = {i: p for p, i in enumerate(columns)}
     buckets: dict[int, list[_TrackedRow]] = {}
 
     def file_row(r: _TrackedRow) -> None:  # in the bucket of its leading column
         buckets.setdefault(max(r.vec), []).append(r)
 
-    for t, kc in enumerate(vectors):
-        if not kc.is_zero():
-            file_row(_TrackedRow({position[w]: c for w, c in kc.coeffs}, {t: 1}, t))
+    for t, row in enumerate(rows):
+        if row:
+            file_row(_TrackedRow({position[i]: c for i, c in row}, {t: 1}, t))
     done: dict[int, _TrackedRow] = {}
     for col in range(len(columns) - 1, -1, -1):
         with_entry = buckets.pop(col, [])
@@ -386,11 +509,10 @@ def hnf_certified_split(
         if row.vec[min(row.vec)] < 0:  # smallest-norm coefficient positive
             row.negate()
         comb = tuple(sorted(row.comb.items()))
-        coeffs = tuple(sorted((columns[i], x) for i, x in row.vec.items()))
-        return TrackedVector(KClass(coeffs), comb)
+        return TrackedVector({keys[p]: x for p, x in row.vec.items()}, comb)
 
     pivots = sorted(done)
     return HnfSplit(
-        tuple(build(c) for c in pivots if norm[columns[c]] <= certify_bound),
-        tuple(build(c) for c in pivots if norm[columns[c]] > certify_bound),
+        tuple(build(c) for c in pivots if norms[columns[c]] <= certify_bound),
+        tuple(build(c) for c in pivots if norms[columns[c]] > certify_bound),
     )

@@ -12,10 +12,13 @@ never affects soundness; certification of a basis vector is the exact
 test that its whole support has norm^2 <= N^2.
 
 One call graph: full_basis builds all per-basis state (the windows, each
-orbit's pushforward kernel, the span-window ball, a dominant-conjugate
-memo, an int_norm memo and the boundary echelon's weight ids) and passes
-it down full_basis -> orbital_basis -> spanning_set -> pushforward, and
-orbital_basis -> hnf_certified_split.
+orbit's pushforward kernel, the span-window ball and one
+ktheory.WeightIndex, which codes every weight as an int and gives each
+dominant conjugate an id, its norm and its weight) and passes it down
+full_basis -> orbital_basis -> spanning_set -> pushforward_classes, and
+orbital_basis -> hnf_certified_split.  Weights travel as codes and ids
+from the pushforward through the boundary echelon; tuples are rebuilt
+only for the vectors the echelon keeps.
 Every orbit filters the one ball on its Levi nodes, and every window test
 compares rootdata.int_norm(w) with rootdata.int_norm_bound of the window,
 the same test as with Fraction norms.  No state outlives a full_basis call.
@@ -40,14 +43,16 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from itertools import compress
 from types import MappingProxyType
-from typing import Mapping, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 from .ktheory import (
     KClass,
     PushforwardKernel,
+    WeightIndex,
     hnf_certified_split,
-    pushforward,
+    pushforward_classes,
     pushforward_kernel,
 )
 from .linalg import Factorization, IntEchelon
@@ -169,29 +174,48 @@ def _windows(rd: RootDatum, bound_sq) -> _Windows:
     return _Windows(bound_sq, c, (b + c) ** 2, (b + 2 * c) ** 2)
 
 
-def spanning_set(
-    rd: RootDatum,
-    kernel: PushforwardKernel,
-    ball: Sequence[Weight],
-    folded: dict[Weight, Weight],
-) -> list[tuple[Weight, KClass]]:
-    """Pushforward classes for every Levi-dominant weight in the span window.
+class _Ball(NamedTuple):
+    """The span-window ball of a basis, with what every orbit reads of it.
 
-    Ordered by (norm^2, lex) of the Levi weight.  ball is the whole
-    span-window ball enumerate_levi_dominant(rd, (), span window) of the
-    basis, and the weights are those of ball that are nonnegative on the
-    Levi nodes.  That is, in order, the list enumerate_levi_dominant(rd,
-    levi, span window) returns: both are the same set, and a subsequence
-    of a list sorted by (norm^2, lex) is sorted by it.  kernel is the
-    orbit's pushforward_kernel and folded a dominant-conjugate memo, both
-    passed to pushforward.
+    weights is enumerate_levi_dominant(rd, (), span window), codes[j] is
+    index.code(weights[j]) and negative[j] has bit i set when coordinate i
+    of weights[j] is negative.
     """
-    levi = kernel.levi_simple
-    return [
-        (phi, pushforward(rd, kernel, phi, folded))
-        for phi in ball
-        if all(phi[i] >= 0 for i in levi)
-    ]
+
+    weights: list[Weight]
+    codes: list[int]
+    negative: list[int]
+
+
+def _ball_and_index(
+    rd: RootDatum, span_sq: Fraction, kernels: Sequence[PushforwardKernel]
+) -> tuple[_Ball, WeightIndex]:
+    """The span-window ball and the WeightIndex around it and every kernel's offsets."""
+    ball = enumerate_levi_dominant(rd, (), span_sq)
+    index = WeightIndex.around(rd, ball, kernels)
+    codes = [index.code(w) for w in ball]
+    negative = [sum(1 << i for i, x in enumerate(w) if x < 0) for w in ball]
+    return _Ball(ball, codes, negative), index
+
+
+def spanning_set(
+    rd: RootDatum, kernel: PushforwardKernel, ball: _Ball, index: WeightIndex
+) -> list[tuple[Weight, tuple[tuple[int, int], ...], int]]:
+    """The distinct pushforward classes of the Levi-dominant weights in the span window.
+
+    As (phi, pairs, rank) in (norm^2, lex) order of the Levi weight phi,
+    each class kept at the first phi that gives it (see
+    pushforward_classes).  The weights are those of ball with no negative
+    coordinate on the Levi nodes.  That is, in order, the list
+    enumerate_levi_dominant(rd, levi, span window) returns: both are the
+    same set, and a subsequence of a list sorted by (norm^2, lex) is sorted
+    by it.  index is the basis's WeightIndex, whose box holds phi + s for
+    every offset s of kernel.
+    """
+    levi = sum(1 << i for i in kernel.levi_simple)
+    keep = [not m & levi for m in ball.negative]
+    phis = list(compress(ball.weights, keep))
+    return pushforward_classes(rd, kernel, index, phis, list(compress(ball.codes, keep)))
 
 
 def orbital_basis(
@@ -200,21 +224,18 @@ def orbital_basis(
     echelon: IntEchelon,
     win: _Windows,
     kernel: PushforwardKernel,
-    ball: Sequence[Weight],
-    folded: dict[Weight, Weight],
-    norm_memo: dict[Weight, int],
-    ids: dict[Weight, int],
+    ball: _Ball,
+    index: WeightIndex,
 ) -> list[GeometricBasisVector]:
     """Basis of the orbit's K-theory modulo the classes already in echelon.
 
     echelon must span the vectors of every orbit before this one in
     (dimension, id) order, computed in the same windows win; each returned
-    vector is added to it, and no other row is.  kernel, ball and folded
-    are passed to spanning_set; norm_memo is an int_norm memo passed to
-    hnf_certified_split, which fills it with every support weight, so it
-    also serves the certification check.  ids maps each weight to the int
-    key of echelon's rows, assigned in first-seen order; the keys are only
-    labels, so they change no decision (see IntEchelon).
+    vector is added to it, and no other row is.  kernel, ball and index
+    are passed to spanning_set, and index to hnf_certified_split.  The
+    split's rows, keyed by index ids, go into echelon as they are; the ids
+    are only labels, so they change no decision (see IntEchelon).  A
+    KClass is built only for a row the echelon keeps.
 
     Working modulo the boundary only needs the strata strictly below the
     orbit in the closure order; they all come earlier, since a boundary
@@ -229,35 +250,27 @@ def orbital_basis(
     vectors anyway; the shared echelon makes it hold by construction.
     """
     certify_bound = int_norm_bound(rd, win.bound_sq)
-    span = spanning_set(rd, kernel, ball, folded)
-    # drop exact duplicates up front; they contribute nothing to the lattice
-    seen: set[KClass] = set()
-    candidates: list[tuple[Weight, KClass]] = []
-    for phi, kc in span:
-        if kc not in seen:
-            seen.add(kc)
-            candidates.append((phi, kc))
+    candidates = spanning_set(rd, kernel, ball, index)
     split = hnf_certified_split(
-        rd, [kc for _, kc in candidates], win.support_sq, win.bound_sq, norm_memo
+        rd, [pairs for _, pairs, _ in candidates], win.support_sq, win.bound_sq, index
     )
 
+    weights, norms = index.weights, index.norms
     vectors = []
     for tracked, certified in [(t, True) for t in split.certified] + [
         (t, False) for t in split.provisional
     ]:
-        row = {ids.setdefault(w, len(ids)): c for w, c in tracked.kclass.coeffs}
-        if not echelon.add(row):
+        if not echelon.add(tracked.row):
             continue  # already in the span of earlier vectors
         combination = tuple((candidates[t][0], n) for t, n in tracked.combination)
-        rank = sum(n * candidates[t][1].rank for t, n in tracked.combination)
-        kc = KClass(tracked.kclass.coeffs, rank)
+        rank = sum(n * candidates[t][2] for t, n in tracked.combination)
         if certified:
-            assert all(norm_memo[w] <= certify_bound for w, _ in kc.coeffs)
+            assert all(norms[i] <= certify_bound for i in tracked.row)
         vectors.append(
             GeometricBasisVector(
                 orbit_id=orbit.id,
                 index=len(vectors),
-                kclass=kc,
+                kclass=KClass(tuple(sorted((weights[i], c) for i, c in tracked.row.items())), rank),
                 rank=rank,
                 combination=combination,
                 certified=certified,
@@ -271,9 +284,9 @@ def full_basis(rd: RootDatum, bound_sq) -> GeometricBasis:
     """Geometric basis for every orbit, by induction over the closure order.
 
     This call builds all per-basis and per-orbit state: the windows, each
-    orbit's pushforward kernel, the span-window ball, the fold memo, the
-    int_norm memo and the boundary echelon with its weight ids; all of it
-    is dropped when the call returns.  The boundary echelon pivots at the
+    orbit's pushforward kernel, the span-window ball with its codes, the
+    WeightIndex and the boundary echelon; all of it is dropped when the
+    call returns.  The boundary echelon pivots at the
     key held by the fewest stored rows, which keeps its back-substitution
     sparse.  Building a kernel checks its orbit's subset cap first, so
     every cap is checked once, before the ball, which can dwarf the check,
@@ -283,15 +296,12 @@ def full_basis(rd: RootDatum, bound_sq) -> GeometricBasis:
     orbits = tuple(classify_orbits(rd))
     poset = closure_poset(rd, orbits)
     kernels = [pushforward_kernel(rd, grading_data(rd, orbit)) for orbit in orbits]
-    ball = enumerate_levi_dominant(rd, (), win.span_sq)
-    folded: dict[Weight, Weight] = {}
-    norm_memo: dict[Weight, int] = {}
-    ids: dict[Weight, int] = {}
+    ball, index = _ball_and_index(rd, win.span_sq, kernels)
     strata: dict[int, tuple[GeometricBasisVector, ...]] = {}
     echelon = IntEchelon(fewest_holders=True)
     for orbit, kernel in zip(orbits, kernels):  # by (dimension, id)
         strata[orbit.id] = tuple(
-            orbital_basis(rd, orbit, echelon, win, kernel, ball, folded, norm_memo, ids)
+            orbital_basis(rd, orbit, echelon, win, kernel, ball, index)
         )
     return GeometricBasis(
         type_label=rd.type_label,

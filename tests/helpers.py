@@ -674,3 +674,37 @@ def strata_digest(strata) -> str:
         for coeffs, comb, rank, cert in strata[oid]
     ]
     return hashlib.sha256(json.dumps(rows).encode()).hexdigest()
+
+
+def reference_payload(basis, orbit_filter=None) -> dict:
+    """The `kcone basis` JSON payload as a tree: json.dumps(it, indent=2)
+    plus a newline is the document the CLI writes."""
+    strata = []
+    for orbit in basis.orbits:
+        if orbit_filter is not None and orbit.id != orbit_filter:
+            continue
+        vectors = [
+            {
+                "orbit": v.orbit_id,
+                "index": v.index,
+                "certified": v.certified,
+                "rank": v.rank,
+                "combination": [{"levi_weight": list(w), "coef": c} for w, c in v.combination],
+                "kclass": {
+                    "coeffs": [{"weight": list(w), "coef": c} for w, c in v.kclass.coeffs],
+                    "rank": v.kclass.rank,
+                },
+            }
+            for v in basis.strata[orbit.id]
+        ]
+        strata.append(
+            {"orbit": orbit.id, "label": orbit.label, "dimension": orbit.dimension, "vectors": vectors}
+        )
+    return {
+        "type": basis.type_label,
+        "bound_sq": str(basis.bound_sq),
+        "norm_constant": str(basis.norm_constant),
+        "span_window_sq": str(basis.span_window_sq),
+        "support_window_sq": str(basis.support_window_sq),
+        "strata": strata,
+    }

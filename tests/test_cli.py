@@ -1,4 +1,7 @@
+import dataclasses
+import errno
 import json
+import os
 import resource
 import subprocess
 import sys
@@ -10,6 +13,8 @@ from hypothesis import strategies as st
 
 from kcone import cli, orbitalg
 from kcone.cli import _json_text, main
+
+from helpers import reference_payload
 
 
 def run_cli(capsys, *argv):
@@ -369,3 +374,80 @@ def test_json_stdout_is_json_dumps_indent_2(capsys, tmp_path, argv):
     code, out, _ = run_cli(capsys, *argv)
     assert code == 0
     assert out == json.dumps(json.loads(out), indent=2) + "\n"
+
+
+@pytest.mark.parametrize("label,bound", [("A2", 18), ("G2", 8), ("A1xA1xA1", 1)])
+def test_basis_writer_matches_reference_payload(capsys, monkeypatch, basis_cache, label, bound):
+    # the per-vector writer against json.dumps of the payload tree, through
+    # the CLI with and without --orbit
+    basis = basis_cache(label, bound)
+    monkeypatch.setattr(cli, "full_basis", lambda rd, bound_sq: basis)
+    for orbit in [None, *(o.id for o in basis.orbits)]:
+        argv = ["basis", label, "--bound-sq", str(bound)]
+        if orbit is not None:
+            argv += ["--orbit", str(orbit)]
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0
+        assert out == json.dumps(reference_payload(basis, orbit), indent=2) + "\n"
+
+
+def test_basis_writer_on_empty_strata(basis_cache):
+    basis = basis_cache("A2", 18)
+    emptied = dataclasses.replace(basis, strata={**basis.strata, 1: ()})
+    assert emptied.strata[1] == ()
+    for orbit in [None, 1, 2, 99]:  # 99 names no orbit: an empty strata list
+        out = []
+        cli._write_basis_json(emptied, orbit, out.append)
+        assert "".join(out) == json.dumps(reference_payload(emptied, orbit), indent=2) + "\n"
+
+
+class ClosedPipe:
+    """A stdout whose reader is gone."""
+
+    def write(self, text):
+        raise BrokenPipeError(errno.EPIPE, "Broken pipe")
+
+    def flush(self):
+        raise BrokenPipeError(errno.EPIPE, "Broken pipe")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["basis", "A1", "--bound-sq", "4"],
+        ["basis", "A1", "--bound-sq", "4", "--format", "text"],
+        ["orbits", "A2"],
+    ],
+    ids=" ".join,
+)
+def test_broken_pipe_exits_quietly(capsys, monkeypatch, argv):
+    monkeypatch.setattr(sys, "stdout", ClosedPipe())
+    code = main(argv)
+    devnull = sys.stdout
+    assert code == cli.EXIT_BROKEN_PIPE == 141
+    assert capsys.readouterr().err == ""  # no error line
+    assert devnull.name == os.devnull  # later writes and flushes go nowhere
+    devnull.close()
+
+
+def test_missing_module_file_still_exits_2(capsys, tmp_path):
+    missing = tmp_path / "missing.json"
+    code, _, err = run_cli(capsys, "acycle", "A1", "--bound-sq", "16", "--module", str(missing))
+    assert code == 2
+    assert err.startswith("error:") and "No such file" in err
+
+
+def test_reader_closing_the_pipe_early_is_silent():
+    # the output (about 510 kB) outgrows a pipe's buffer (64 kB on Linux),
+    # so the writer blocks until the read end closes, then meets it closed
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "kcone", "basis", "A2", "--bound-sq", "200"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+    )
+    assert proc.stdout.read(100).startswith(b'{\n  "type": "A2"')
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=120) == 141
+    assert err == b""

@@ -22,8 +22,9 @@ from kcone import (
     std_to_class,
     weyl_dim,
 )
-from kcone.ktheory import _subset_cap_bits, hnf_certified_split
-from kcone.orbitalg import _windows
+from kcone import ktheory
+from kcone.ktheory import WeightIndex, _subset_cap_bits, hnf_certified_split
+from kcone.orbitalg import _ball_and_index, _windows
 
 from helpers import (
     brute_dominant,
@@ -235,24 +236,91 @@ def test_subset_cap_must_be_nonnegative(monkeypatch):
 def test_hnf_split_rejects_out_of_window(a1):
     # (8,) has norm^2 32 > 16; (2,) and (4,) fit
     inside = KClass((((2,), 1), ((4,), -1)))
-    memo = {}
-    assert hnf_certified_split(a1, [inside], 16, 16, memo).certified
-    assert hnf_certified_split(a1, [KClass((((8,), 1),))], 64, 64, memo).certified
-    assert memo == {(2,): 4, (4,): 16, (8,): 64}  # int_norm: norm_scale 2 times norm^2
-    # a weight the memo already holds is still checked against each window
-    for norm_memo in (None, memo):
-        with pytest.raises(ValueError, match="outside the support window"):
-            hnf_certified_split(a1, [inside, KClass((((8,), 1),))], 16, 16, norm_memo)
+    assert hnf_certified_split(a1, [inside], 16, 16).certified
+    assert hnf_certified_split(a1, [KClass((((8,), 1),))], 64, 64).certified
+    with pytest.raises(ValueError, match="outside the support window"):
+        hnf_certified_split(a1, [inside, KClass((((8,), 1),))], 16, 16)
+    # id rows: the index holds int_norm (norm_scale 2 times norm^2), and a
+    # weight it already holds is still checked against each window
+    index = WeightIndex(a1, (0,), (8,))
+    two, four, eight = (index.dominant_id(w) for w in [(2,), (4,), (8,)])
+    assert index.norms == [4, 16, 64]
+    rows = [((two, 1), (four, -1))]
+    assert hnf_certified_split(a1, rows, 16, 16, index).certified[0].row == {two: 1, four: -1}
+    assert hnf_certified_split(a1, [((eight, 1),)], 64, 64, index).certified
+    with pytest.raises(ValueError, match="outside the support window"):
+        hnf_certified_split(a1, rows + [((eight, 1),)], 16, 16, index)
 
 
 def test_hnf_split_rejects_non_dominant(a1, a2):
     with pytest.raises(ValueError, match="outside the dominant chamber"):
-        hnf_certified_split(a1, [KClass((((-2,), 1),))], 16, 16, {(-2,): 8})
+        hnf_certified_split(a1, [KClass((((-2,), 1),))], 16, 16)
     with pytest.raises(ValueError, match="outside the dominant chamber"):
         hnf_certified_split(a2, [KClass((((1, -1), 1),))], 16, 16)
     # a weight of the wrong rank is not in the window either
     with pytest.raises(ValueError, match="outside the dominant chamber"):
         hnf_certified_split(a2, [KClass((((1,), 1),))], 16, 16)
+
+
+@pytest.mark.parametrize("label,bound", [("A2", 50), ("B2", 16), ("G2", 8), ("A1xA1xA1", 2)])
+def test_weight_codes_on_the_ball_and_offsets(label, bound):
+    # the index full_basis builds: over every ball weight and every offset
+    # of every orbit kernel, codes decode, shift, and sort like the tuples
+    rd = build_root_datum(label)
+    kernels = [pushforward_kernel(rd, grading_data(rd, o)) for o in classify_orbits(rd)]
+    ball, index = _ball_and_index(rd, _windows(rd, bound).span_sq, kernels)
+    assert ball.codes == [index.code(w) for w in ball.weights]
+    offsets = {s for kernel in kernels for s, _ in kernel.offsets}
+    moved = set()
+    for s in offsets:
+        shift = index.shift(s)
+        for phi, code in zip(ball.weights, ball.codes):
+            w = tuple(p + x for p, x in zip(phi, s))
+            assert index.code(w) == code + shift
+            moved.add(w)
+    box = 1
+    for width in index.widths:
+        box *= width
+    assert all(0 <= index.code(w) < box and index.decode(index.code(w)) == w for w in moved)
+    assert sorted(moved, key=index.code) == sorted(moved)
+
+
+@given(st.data())
+@settings(max_examples=100, deadline=None)
+def test_weight_codes_in_any_box(data):
+    rank = data.draw(st.integers(1, 4))
+    rd = build_root_datum("x".join(["A1"] * rank))
+    lo = data.draw(st.lists(st.integers(-9, 9), min_size=rank, max_size=rank))
+    hi = [x + data.draw(st.integers(0, 6)) for x in lo]
+    index = WeightIndex(rd, lo, hi)
+    point = st.tuples(*(st.integers(a, b) for a, b in zip(lo, hi)))
+    weights = data.draw(st.lists(point, min_size=1, max_size=12))
+    codes = [index.code(w) for w in weights]
+    assert [index.decode(c) for c in codes] == weights
+    assert [index.decode(c) for c in sorted(codes)] == sorted(weights)
+    for v, cv in zip(weights, codes):
+        for w, cw in zip(weights, codes):
+            assert cv + index.shift(tuple(b - a for a, b in zip(v, w))) == cw
+
+
+def test_weight_index_folds_each_code_once(a2, monkeypatch):
+    calls = []
+    real = ktheory.dominant_conjugate
+
+    def counting(rd, w):
+        calls.append(w)
+        return real(rd, w)
+
+    monkeypatch.setattr(ktheory, "dominant_conjugate", counting)
+    index = WeightIndex(a2, (-3, -3), (3, 3))
+    points = [(x, y) for x in range(-3, 4) for y in range(-3, 4)]
+    index.fold(index.code(w) for w in points)
+    index.fold(index.code(w) for w in points[::2])
+    assert sorted(calls) == sorted(points)  # the second fold found every code
+    for w in points:
+        i = index.conjugate[index.code(w)]
+        assert index.weights[i] == brute_dominant(a2, w)
+        assert index.dominant_id(index.weights[i]) == i
 
 
 def test_hnf_certified_split_a1_skyscrapers(a1):

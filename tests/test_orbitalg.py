@@ -7,7 +7,6 @@ from kcone import (
     build_root_datum,
     classify_orbits,
     enumerate_dominant,
-    enumerate_levi_dominant,
     full_basis,
     grading_data,
     kclass_add,
@@ -22,7 +21,14 @@ from kcone.ktheory import KClass
 from kcone.linalg import IntEchelon
 from kcone.orbitalg import orbital_basis, spanning_set
 
-from helpers import flatten_kclass, norm_sq_fractions, pushforward_reference, rank_steps, rational_rank
+from helpers import (
+    flatten_kclass,
+    norm_sq_fractions,
+    pushforward_reference,
+    rank_steps,
+    rational_rank,
+    reference_spanning_set,
+)
 
 
 def test_norm_constant_values(a1, a2, b2):
@@ -37,10 +43,19 @@ def test_norm_constant_values(a1, a2, b2):
     assert low <= cb * cb <= high
 
 
+def as_kclasses(span, index):
+    """spanning_set's (phi, pairs, rank) triples as (phi, KClass) pairs."""
+    return [
+        (phi, KClass(tuple(sorted((index.weights[i], c) for i, c in pairs)), rank))
+        for phi, pairs, rank in span
+    ]
+
+
 def own_spanning_set(rd, gd, bound_sq):
-    """spanning_set on a ball, kernel and fold memo of its own."""
-    ball = enumerate_levi_dominant(rd, (), orbitalg._windows(rd, bound_sq).span_sq)
-    return spanning_set(rd, pushforward_kernel(rd, gd), ball, {})
+    """spanning_set on a ball, kernel and index of its own, as (phi, KClass)."""
+    kernel = pushforward_kernel(rd, gd)
+    ball, index = orbitalg._ball_and_index(rd, orbitalg._windows(rd, bound_sq).span_sq, [kernel])
+    return as_kclasses(spanning_set(rd, kernel, ball, index), index)
 
 
 def test_spanning_set_a1_regular(a1):
@@ -48,11 +63,14 @@ def test_spanning_set_a1_regular(a1):
     gd = grading_data(a1, orbits[1])
     span = own_spanning_set(a1, gd, 4)
     phis = [phi for phi, _ in span]
-    # ordered by (norm^2, lex); torus Levi admits negative weights
-    assert phis[:5] == [(0,), (-1,), (1,), (-2,), (2,)]
+    # ordered by (norm^2, lex); torus Levi admits negative weights, and
+    # (n,) gives the class of (-n,), met first, so it is dropped
+    assert phis[:3] == [(0,), (-1,), (-2,)]
+    assert all(phi[0] <= 0 for phi in phis)
     for phi, kc in span:
         assert kc.as_dict() == {(abs(phi[0]),): 1}
         assert kc.rank == 1
+    assert pushforward(a1, pushforward_kernel(a1, gd), (1,)) == span[1][1]
 
 
 def test_spanning_set_a1_zero_orbit(a1):
@@ -240,35 +258,42 @@ def test_full_basis_cap_fails_before_enumerating(monkeypatch, a2):
     "label,bound", [("A2", 8), ("B2", 4), ("G2", 2), ("A1xA1xA1", 1), ("C3", 0)]
 )
 def test_spanning_set_on_shared_ball_matches_reference(label, bound):
-    # one ball and one fold memo shared by every orbit, as full_basis uses
-    # them, against the per-Levi enumeration and the per-phi pushforward
-    # (on C3 every fifth phi, to keep the reference quick)
+    # one ball and one index shared by every orbit, as full_basis uses them,
+    # against the per-Levi enumeration and the per-phi pushforward with the
+    # exact duplicates dropped after their first phi, and the per-phi
+    # pushforward against the memo-free reference (on C3 every fifth phi,
+    # to keep the reference quick)
     rd = build_root_datum(label)
-    span_sq = orbitalg._windows(rd, bound).span_sq
-    ball = enumerate_levi_dominant(rd, (), span_sq)
-    folded = {}
+    orbits = classify_orbits(rd)
+    kernels = [pushforward_kernel(rd, grading_data(rd, orbit)) for orbit in orbits]
+    ball, index = orbitalg._ball_and_index(rd, orbitalg._windows(rd, bound).span_sq, kernels)
     stride = 5 if label == "C3" else 1
-    for orbit in classify_orbits(rd):
+    for orbit, kernel in zip(orbits, kernels):
         gd = grading_data(rd, orbit)
-        span = spanning_set(rd, pushforward_kernel(rd, gd), ball, folded)
-        assert [phi for phi, _ in span] == enumerate_levi_dominant(rd, gd.levi_simple, span_sq)
+        span = as_kclasses(spanning_set(rd, kernel, ball, index), index)
+        first = {}
+        for phi, kc in reference_spanning_set(rd, gd, bound):
+            first.setdefault(kc, phi)
+        assert span == [(phi, kc) for kc, phi in first.items()]
         for phi, kc in span[::stride]:
             assert kc == pushforward_reference(rd, gd, phi)
 
 
 def test_orbital_basis_grows_echelon_by_returned_vectors(a2):
     win = orbitalg._windows(a2, 18)
-    ball = enumerate_levi_dominant(a2, (), win.span_sq)
-    folded, norm_memo, ids = {}, {}, {}
+    orbits = classify_orbits(a2)
+    kernels = [pushforward_kernel(a2, grading_data(a2, orbit)) for orbit in orbits]
+    ball, index = orbitalg._ball_and_index(a2, win.span_sq, kernels)
     ech = IntEchelon(fewest_holders=True)
-    for orbit in classify_orbits(a2):
-        kernel = pushforward_kernel(a2, grading_data(a2, orbit))
-        state = (win, kernel, ball, folded, norm_memo, ids)
+    for orbit, kernel in zip(orbits, kernels):
+        state = (win, kernel, ball, index)
         before = len(ech)
         vectors = orbital_basis(a2, orbit, ech, *state)
         assert len(ech) == before + len(vectors)
         # every returned class now lies in the span, its rows keyed by ids
-        assert not any(ech.add({ids[w]: c for w, c in v.kclass.coeffs}) for v in vectors)
+        assert not any(
+            ech.add({index.dominant_id(w): c for w, c in v.kclass.coeffs}) for v in vectors
+        )
         # a second pass over the same orbit finds nothing new
         assert orbital_basis(a2, orbit, ech, *state) == []
         assert len(ech) == before + len(vectors)
@@ -296,7 +321,8 @@ def test_full_basis_adds_each_hermite_output_once(monkeypatch, b2):
 
 def recorded_full_basis(monkeypatch, rd, bound, fewest_holders=True):
     """full_basis(rd, bound) with its boundary echelon built under the given
-    pivot rule, and every row offered to it, as (row, kept) in order."""
+    pivot rule, and every row offered to it, as (row, kept) in order.  The
+    rows are keyed by the dominant ids of the basis's WeightIndex."""
     offered, rules = [], []
     real_add = IntEchelon.add
 

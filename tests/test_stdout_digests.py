@@ -1,9 +1,10 @@
-"""Byte-identity guard: kcone outputs against the benchmark's recorded digests.
+"""Byte-identity guard: kcone outputs against recorded digests.
 
 perfbench/digests.json holds the sha256 of the stdout of each `kcone` call
 the benchmark makes, and of the basis its acycle-batch workload builds with
-full_basis; any change to a stratum or to the JSON shows up here as a
-mismatch.
+full_basis; tests/cli_digests.json holds those of `kcone basis` calls the
+benchmark does not make (text output and --orbit).  Any change to a
+stratum, to the JSON or to the text shows up here as a mismatch.
 """
 
 import contextlib
@@ -20,6 +21,7 @@ RECORDED = json.loads(
     (Path(__file__).resolve().parent.parent / "perfbench" / "digests.json").read_text()
 )
 DIGESTS = RECORDED["cli_stdout"]
+MORE_DIGESTS = json.loads((Path(__file__).resolve().parent / "cli_digests.json").read_text())
 
 PROBE_KEY = "acycle A1 --bound-sq 16 (trivial module)"
 # the module of the benchmark's acycle probe: [0,0] minus [1,1]
@@ -49,6 +51,11 @@ def test_digest_keys_are_covered():
 @pytest.mark.parametrize("key", BASIS_KEYS)
 def test_basis_stdout_matches_digest(key):
     assert stdout_sha256(key.split()) == DIGESTS[key]
+
+
+@pytest.mark.parametrize("key", sorted(MORE_DIGESTS))
+def test_text_and_orbit_stdout_matches_digest(key):
+    assert stdout_sha256(key.split()) == MORE_DIGESTS[key]
 
 
 def test_acycle_probe_stdout_matches_digest(tmp_path):
