@@ -88,6 +88,11 @@ def _weight_arg(raw: str) -> tuple[int, ...]:
         raise argparse.ArgumentTypeError(f"not a comma-separated integer vector: {raw!r}")
 
 
+def _terms_text(kc: KClass) -> str:
+    """The class's terms as +c[w] with signed coefficients, in coeffs order."""
+    return " ".join(f"{c:+d}[{','.join(map(str, w))}]" for w, c in kc.coeffs)
+
+
 def _kclass_json(kc: KClass) -> dict:
     return {
         "coeffs": [{"weight": list(w), "coef": c} for w, c in kc.coeffs],
@@ -95,74 +100,9 @@ def _kclass_json(kc: KClass) -> dict:
     }
 
 
-def _json_text(obj) -> str:
-    """The text of json.dumps(obj, indent=2), for the types kcone emits.
-
-    Those are dicts with str keys, lists, str, int, bool and None; anything
-    else raises TypeError.  json.dumps with an indent runs the pure-Python
-    encoder, whose generators cost more than this direct writer.  The output
-    is the same text, case by case, as that encoder (json.encoder's
-    _make_iterencode) writes it with its defaults for indent=2: a str goes
-    through encode_basestring_ascii, the very function json.dumps calls when
-    ensure_ascii is on; an int through int.__repr__; True, False and None as
-    true, false and null.  An empty list or dict is [] or {}.  Otherwise each
-    item or "key": value pair starts on a new line indented two spaces
-    deeper than its container, pairs and items are separated by ",", and the
-    closing bracket is on its own line at the container's indentation.
-    A list of ints, which is most of a basis, is joined into one piece of
-    that same text, so the pieces held before the final join stay few.
-    """
-    out: list[str] = []
-    _json_write(obj, "\n", out.append)
-    return "".join(out)
-
-
-def _json_write(obj, newline: str, put) -> None:
-    """Write obj with put; newline is "\n" plus the indentation of its line."""
-    if isinstance(obj, str):
-        put(encode_basestring_ascii(obj))
-    elif obj is None:
-        put("null")
-    elif obj is True:
-        put("true")
-    elif obj is False:
-        put("false")
-    elif isinstance(obj, int):
-        put(int.__repr__(obj))
-    elif isinstance(obj, list):
-        if not obj:
-            put("[]")
-            return
-        inner = newline + "  "
-        if all(type(x) is int for x in obj):  # a weight: one piece, not 2n + 1
-            put("[" + inner + ("," + inner).join(map(int.__repr__, obj)) + newline + "]")
-            return
-        sep = "[" + inner
-        for item in obj:
-            put(sep)
-            _json_write(item, inner, put)
-            sep = "," + inner
-        put(newline + "]")
-    elif isinstance(obj, dict):
-        if not obj:
-            put("{}")
-            return
-        inner = newline + "  "
-        sep = "{" + inner
-        for key, value in obj.items():
-            if not isinstance(key, str):
-                raise TypeError(f"JSON object key {key!r} is not a str")
-            put(sep + encode_basestring_ascii(key) + ": ")
-            _json_write(value, inner, put)
-            sep = "," + inner
-        put(newline + "}")
-    else:
-        raise TypeError(f"{type(obj).__name__} {obj!r} is not written as JSON")
-
-
 def _emit(payload, fmt: str, text_lines) -> None:
     if fmt == "json":
-        print(_json_text(payload))
+        print(json.dumps(payload, indent=2))
     else:
         for line in text_lines():
             print(line)
@@ -246,8 +186,10 @@ def _write_basis_json(basis: GeometricBasis, orbit_filter: Optional[int], write)
     {"type", "bound_sq", "norm_constant", "span_window_sq",
     "support_window_sq", "strata"}, whose strata are {"orbit", "label",
     "dimension", "vectors"}; _vector_text writes each vector, and the
-    fixed text around them is what that encoder writes at those depths
-    (see _json_text).  No payload is built.
+    fixed text around them is what that encoder writes at those depths:
+    each item or "key": value pair on its own line, indented two spaces
+    deeper than its container, strings through encode_basestring_ascii as
+    json.dumps writes them with ensure_ascii on.  No payload is built.
     """
     enc = encode_basestring_ascii
     write(
@@ -285,8 +227,7 @@ def _write_basis_text(basis: GeometricBasis, orbit_filter: Optional[int], write)
         write(f"orbit {orbit.id} ({orbit.label}, dim {orbit.dimension}):\n")
         for v in basis.strata[orbit.id]:
             flag = "certified" if v.certified else "provisional"
-            terms = " ".join(f"{c:+d}[{','.join(map(str, w))}]" for w, c in v.kclass.coeffs)
-            write(f"  #{v.index} rank {v.rank} ({flag}): {terms}\n")
+            write(f"  #{v.index} rank {v.rank} ({flag}): {_terms_text(v.kclass)}\n")
 
 
 def _shown_orbits(basis: GeometricBasis, orbit_filter: Optional[int]):
@@ -391,10 +332,7 @@ def cmd_pushforward(cfg: RunConfig, phi: tuple[int, ...]) -> int:
     }
 
     def text_lines():
-        terms = " ".join(
-            f"{c:+d}[{','.join(str(x) for x in w)}]" for w, c in kc.coeffs
-        )
-        yield f"pushforward of {list(phi)} on orbit {cfg.orbit}: rank {kc.rank}: {terms}"
+        yield f"pushforward of {list(phi)} on orbit {cfg.orbit}: rank {kc.rank}: {_terms_text(kc)}"
 
     _emit(payload, cfg.format, text_lines)
     return EXIT_OK
@@ -494,7 +432,12 @@ def _build_parser() -> argparse.ArgumentParser:
     p_push = sub.add_parser("pushforward", help="pushforward of one Levi weight")
     add_common(p_push)
     p_push.add_argument("--orbit", type=int, required=True, help="orbit id")
-    p_push.add_argument("--phi", type=_weight_arg, required=True, help="Levi weight, e.g. 1,0")
+    p_push.add_argument(
+        "--phi",
+        type=_weight_arg,
+        required=True,
+        help="Levi weight, e.g. 1,0; write a negative first entry as --phi=-1,0",
+    )
 
     sub.add_parser("selftest", help="run built-in consistency checks")
     return parser

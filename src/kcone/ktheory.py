@@ -38,7 +38,6 @@ from .rootdata import (
     dominant_conjugate,
     int_norm,
     int_norm_bound,
-    is_dominant,
     weight_add,
     zero_weight,
 )
@@ -386,17 +385,12 @@ class _TrackedRow:
 class TrackedVector:
     """A split output, with the integer combination of inputs that built it.
 
-    row maps each key of the output to its nonzero coefficient; the keys
-    are the inputs' own: weights for KClass inputs, ids of the index for
-    id-pair inputs.  kclass reads a weight-keyed row as a KClass.
+    row maps each id of the index that the output carries to its nonzero
+    coefficient.
     """
 
-    row: dict
+    row: dict[int, int]
     combination: tuple[tuple[int, int], ...]  # (input index, coefficient)
-
-    @property
-    def kclass(self) -> KClass:
-        return KClass(tuple(sorted(self.row.items())))
 
 
 @dataclass(frozen=True)
@@ -407,32 +401,30 @@ class HnfSplit:
 
 def hnf_certified_split(
     rd: RootDatum,
-    vectors: Sequence,
+    vectors: Sequence[Sequence[tuple[int, int]]],
     support_norm_sq,
     certify_norm_sq,
-    index: Optional[WeightIndex] = None,
+    index: WeightIndex,
 ) -> HnfSplit:
     """Hermite reduction of the integer row lattice spanned by the vectors.
 
-    The vectors are KClasses, or with index, classes as (id, coefficient)
-    pairs of index, whose weights are dominant by construction.  Every
-    support weight of a KClass must be dominant, else ValueError, and
-    every support weight must have norm^2 <= support_norm_sq, else
-    ValueError.  Columns are the weights in the inputs' supports,
-    processed from the largest (norm^2, lex) down; no row ever has an entry
-    outside them, so the result is the reduction over the whole window.  A
-    row whose pivot has norm^2 <= certify_norm_sq therefore has no support
-    outside the certify window: those rows are an integer basis of the
-    sublattice of combinations supported entirely within it.  The remaining
-    pivot rows complete a basis of the full lattice and are returned as
-    provisional.  Each output records the integer combination of input
-    vectors that produced it.  Only unimodular row operations are used, so
-    tracked combinations reproduce the rows exactly.  Norms are the ints
+    The vectors are classes as (id, coefficient) pairs of index, whose
+    weights are dominant by construction.  Every support weight must have
+    norm^2 <= support_norm_sq, else ValueError.  Columns are the weights
+    in the inputs' supports, processed from the largest (norm^2, lex)
+    down; no row ever has an entry outside them, so the result is the
+    reduction over the whole window.  A row whose pivot has norm^2 <=
+    certify_norm_sq therefore has no support outside the certify window:
+    those rows are an integer basis of the sublattice of combinations
+    supported entirely within it.  The remaining pivot rows complete a
+    basis of the full lattice and are returned as provisional.  Each
+    output records the integer combination of input vectors that produced
+    it.  Only unimodular row operations are used, so tracked combinations
+    reproduce the rows exactly.  Norms are the ints index.norms[id] =
     int_norm(w), compared with int_norm_bound of each window: the same
-    tests and the same column order as with Fraction norms.  KClass inputs
-    get ids of their own, in first-seen order, so both kinds of input run
-    the same reduction on id rows over columns sorted by (norms[id],
-    weights[id]); the ids are labels and change no step.
+    tests and the same column order as with Fraction norms.  Columns are
+    sorted by (norms[id], weights[id]); the ids are labels and change no
+    step.
 
     Rows are keyed by column position, an int, and position order is
     (norm^2, lex) order.  Each row waits in a bucket under its leading
@@ -443,41 +435,25 @@ def hnf_certified_split(
     without an entry there is filed under its new leading column.  The
     pivot is the least row by (|entry|, input order), a total order, and
     every other row is reduced by the pivot alone, so bucket order cannot
-    change the split.  build maps the positions back to the inputs' keys.
+    change the split.  build maps the positions back to the ids.
     """
     support_norm_sq = Fraction(support_norm_sq)
     support_bound = int_norm_bound(rd, support_norm_sq)
     certify_bound = int_norm_bound(rd, certify_norm_sq)
-    if index is None:
-        ids: dict[Weight, int] = {}
-        weights: list[Weight] = []
-        norms: list[int] = []
-        for kc in vectors:
-            for w, _ in kc.coeffs:
-                if w not in ids:
-                    if len(w) != rd.rank or not is_dominant(w):
-                        raise ValueError(f"class support {w} lies outside the dominant chamber")
-                    ids[w] = len(weights)
-                    weights.append(w)
-                    norms.append(int_norm(rd, w))
-        rows = [[(ids[w], c) for w, c in kc.coeffs] for kc in vectors]
-    else:
-        weights, norms, rows = index.weights, index.norms, vectors
-
-    columns = sorted({i for row in rows for i, _ in row}, key=lambda i: (norms[i], weights[i]))
+    weights, norms = index.weights, index.norms
+    columns = sorted({i for row in vectors for i, _ in row}, key=lambda i: (norms[i], weights[i]))
     if columns and norms[columns[-1]] > support_bound:
         raise ValueError(
             f"class support {weights[columns[-1]]} lies outside the support window "
             f"norm^2 <= {support_norm_sq}"
         )
-    keys = columns if index is not None else [weights[i] for i in columns]
     position = {i: p for p, i in enumerate(columns)}
     buckets: dict[int, list[_TrackedRow]] = {}
 
     def file_row(r: _TrackedRow) -> None:  # in the bucket of its leading column
         buckets.setdefault(max(r.vec), []).append(r)
 
-    for t, row in enumerate(rows):
+    for t, row in enumerate(vectors):
         if row:
             file_row(_TrackedRow({position[i]: c for i, c in row}, {t: 1}, t))
     done: dict[int, _TrackedRow] = {}
@@ -509,7 +485,7 @@ def hnf_certified_split(
         if row.vec[min(row.vec)] < 0:  # smallest-norm coefficient positive
             row.negate()
         comb = tuple(sorted(row.comb.items()))
-        return TrackedVector({keys[p]: x for p, x in row.vec.items()}, comb)
+        return TrackedVector({columns[p]: x for p, x in row.vec.items()}, comb)
 
     pivots = sorted(done)
     return HnfSplit(

@@ -9,9 +9,10 @@ fewest_holders, at the key that the fewest stored rows carry (the rule of
 Markowitz, Management Science 3, 1957), ties going to the smallest key.
 Elimination cross-multiplies (no division) and divides every new row by
 the gcd of its entries, so entries stay small and no Fraction is ever
-formed.  Factorization relabels a system's keys as ints in the same order
-and keeps its columns in one smallest-key IntEchelon, so solving a target
-is one reduce.  The Hermite reduction over the integers, which needs
+formed.  Factorization solves linear systems: it keys a system's columns
+by ints in blocks whose order puts every pivot in the class block, keeps
+them in one smallest-key IntEchelon, and so solves a target by one
+reduce.  The Hermite reduction over the integers, which needs
 unimodular steps, lives in ktheory.hnf_certified_split.
 """
 
@@ -159,17 +160,27 @@ class IntEchelon:
 
 
 class Factorization:
-    """The columns of solve, eliminated once; solve(target) answers one target.
+    """The columns of a linear system, eliminated once; solve answers one target.
 
-    Construction maps the keys to ints in the order solve describes: the
-    sorted union of the column keys to 0..n-1, column j's unit key to n + j
-    and the marker to n + k.  The map is strictly increasing on each block
-    and every block sorts before the next, so it preserves the order of
-    every pair of keys, and the smallest-key rule picks the pivots it
-    would pick on the tuple keys of solve.  Every column row goes into one
-    smallest-key IntEchelon, whose rows come back-substituted: each is zero
-    at every other pivot.  solve is then one IntEchelon.reduce of the
-    target.
+    solve(target) gives the exact x with sum_j x_j * column_j == target.
+    Construction maps the keys to ints in three blocks: the class block,
+    the sorted union of the column keys, to 0..n-1; the unit block, column
+    j's unit key, to n + j; and the marker, n + k.  Column j becomes the
+    row with its entries in the class block and 1 at n + j, and every
+    column row goes into one smallest-key IntEchelon, whose rows come
+    back-substituted: each is zero at every other pivot.  solve is then
+    one IntEchelon.reduce of the target.
+
+    Where the pivots fall.  The reduced row of column j is s * row_j minus
+    a combination of the rows stored before it, with s != 0, so its class
+    block is s * c_j minus a combination of the earlier columns: zero
+    exactly when c_j lies in their span.  A row pivots at its smallest
+    key, and every class key is smaller than every unit key, so a column
+    independent of the earlier ones pivots in the class block, and a
+    dependent one in the unit block; later updates move no pivot.  Hence
+    the columns are independent exactly when all k pivots lie in the
+    class block, which construction checks.  Then neither the unit block
+    nor the marker holds a pivot, and solve reads the answer off them.
 
     solve reads the stored rows and never writes them, and the object has
     no other state, so every call sees the rows as construction left them
@@ -195,22 +206,24 @@ class Factorization:
         return key in self._index
 
     def solve(self, target: Mapping) -> Optional[tuple[dict[int, int], int]]:
-        """Like solve, with only the nonzero numerators, as {column index: numerator}.
+        """The nonzero numerators of x, as ({column index: numerator}, denominator).
 
-        None when target is outside the span of the columns.  The target
-        becomes the int-keyed row of solve, with the marker n + k.  A
-        nonzero entry at a key no column carries gives None at once: no
-        stored row carries that key, so no reduction can clear it.
-        Otherwise reduce gives r = s * target - sum_j x_j * column_j with
-        s > 0, zero at every pivot, divided by the positive gcd of its
-        entries, so its marker entry is positive.  When the target is
-        sum_j y_j * column_j, the row (0 | -y | 1) differs from the target
-        row by a combination of column rows, so r - s' * (0 | -y | 1), for
-        s' the marker entry of r, lies in the span of the stored rows.  It
-        is zero at every pivot, all of which lie in the class block, hence
-        0: the unit block of r holds -s' * y.  When the target is outside
-        the span no such y exists, and the class block of r is nonzero.
-        The numerators come in increasing column index.
+        None when target is outside the span of the columns.  The
+        denominator is positive and shares no factor with all numerators
+        at once.  The target becomes the row with its entries in the class
+        block and 1 at the marker n + k.  A nonzero entry at a key no
+        column carries gives None at once: no stored row carries that key,
+        so no reduction can clear it.  Otherwise reduce gives r = s *
+        target - sum_j x_j * column_j with s > 0, zero at every pivot,
+        divided by the positive gcd of its entries, so its marker entry is
+        positive (column rows have none).  When the target is sum_j y_j *
+        column_j, the row (0 | -y | 1) differs from the target row by a
+        combination of column rows, so r - s' * (0 | -y | 1), for s' the
+        marker entry of r, lies in the span of the stored rows.  It is
+        zero at every pivot, all of which lie in the class block, hence 0:
+        the unit block of r holds -s' * y.  When the target is outside the
+        span no such y exists, and the class block of r is nonzero.  The
+        numerators come in increasing column index.
         """
         index, n, k = self._index, self._n, self._k
         row = {}
@@ -227,35 +240,3 @@ class Factorization:
         marker = red.pop(n + k)
         return {q - n: -x for q, x in sorted(red.items())}, marker
 
-
-def solve(
-    columns: Sequence[Mapping], target: Mapping
-) -> Optional[tuple[list[int], int]]:
-    """Exact x with sum_j x[j] * columns[j] == target, as (numerators, denominator).
-
-    Returns None when target is outside the span of the columns and raises
-    ValueError when the columns are linearly dependent.  The denominator is
-    positive and shares no factor with all numerators at once.  This is
-    Factorization(columns).solve(target) with the numerators listed for
-    every column; hold the Factorization to answer several targets over
-    the same columns.
-
-    Each column c_j becomes the row with entries c_j[w] at (0, w) and 1 at
-    (1, j); the target becomes t[w] at (0, w) and 1 at the marker (2,).  The
-    class block (0, .) sorts before the unit block (1, .), which sorts
-    before the marker.  The reduced target is s * target - sum_j x_j *
-    column_j with s != 0, since column rows have no marker entry, and it
-    is 0 at every pivot.  A reduced row pivots at its smallest key, so a
-    column whose reduced row has any class-block entry pivots there, and
-    later updates move no pivot; when the columns are independent
-    all k pivots lie in the class block, and the class block of the reduced
-    target, s * t - sum x_j c_j, is 0 exactly when t is in the span; then
-    t = sum (x_j / s) c_j and the unit block holds -x.  A dependent column
-    reduces to 0 in the class block, so its pivot falls in the unit block.
-    Factorization keys these blocks by ints in the same order.
-    """
-    solved = Factorization(columns).solve(target)
-    if solved is None:
-        return None
-    numerators, denominator = solved
-    return [numerators.get(j, 0) for j in range(len(columns))], denominator

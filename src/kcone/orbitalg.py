@@ -291,6 +291,15 @@ def full_basis(rd: RootDatum, bound_sq) -> GeometricBasis:
     sparse.  Building a kernel checks its orbit's subset cap first, so
     every cap is checked once, before the ball, which can dwarf the check,
     is enumerated.
+
+    Conjecture, with its evidence.  The certified vectors are a Z-basis of
+    the classes supported within the bound: one per dominant weight of
+    norm^2 <= bound_sq, each such weight's class with integer coordinates.
+    The regular orbit's certified vectors are one per coset of X/Q that
+    holds such a weight, as the Lusztig-Vogan bijection would give with
+    the centre's characters X/Q on the regular orbit (Ostrik, Represent.
+    Theory 4, 2000).  test_certified_counts_match_window_dimension checks
+    both on ten cases of rank 1 to 3; neither is proved here.
     """
     win = _windows(rd, bound_sq)
     orbits = tuple(classify_orbits(rd))

@@ -31,7 +31,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable, Sequence
 
-from .linalg import solve
+from .linalg import Factorization
 
 Weight = tuple[int, ...]
 
@@ -269,10 +269,10 @@ def build_root_datum(type_label: str) -> RootDatum:
     coords = tuple(rc[1] for rc in all_roots)
 
     # the form is D * cartan^{-1}; column j of the inverse solves cartan * x = e_j
-    cols = [{i: cartan[i][j] for i in range(rank)} for j in range(rank)]
-    inverse_cols = [solve(cols, {j: 1}) for j in range(rank)]
+    factored = Factorization([{i: cartan[i][j] for i in range(rank)} for j in range(rank)])
+    inverse_cols = [factored.solve({j: 1}) for j in range(rank)]
     form = [
-        [Fraction(symmetrizer[i] * nums[i], den) for nums, den in inverse_cols]
+        [Fraction(symmetrizer[i] * nums.get(i, 0), den) for nums, den in inverse_cols]
         for i in range(rank)
     ]
     for i in range(rank):

@@ -168,14 +168,31 @@ class ScanIntEchelon:
         return True
 
 
+def listed(answer, k):
+    """A Factorization.solve answer with a numerator for each of the k columns."""
+    if answer is None:
+        return None
+    numerators, denominator = answer
+    assert all(numerators.values()) and list(numerators) == sorted(numerators)
+    return [numerators.get(j, 0) for j in range(k)], denominator
+
+
+def fresh_solve(columns, target):
+    """Factorization(columns).solve(target), with a numerator for every column."""
+    from kcone.linalg import Factorization
+
+    return listed(Factorization(columns).solve(target), len(columns))
+
+
 def tuple_key_solve(columns, target):
-    """kcone.linalg.solve by one IntEchelon.reduce of the target over tuple keys.
+    """Factorization(columns).solve(target) by one IntEchelon.reduce over tuple keys.
 
     Column j is the row c_j[w] at (0, w) and 1 at (1, j), the target is
-    t[w] at (0, w) and 1 at the marker (2,); the target is reduced over
-    the stored pivots and read off its unit block.  Returns
-    (numerators, denominator) or None, and raises ValueError on dependent
-    columns, as linalg.solve does.
+    t[w] at (0, w) and 1 at the marker (2,): the blocks of Factorization,
+    keyed by tuples in the same order instead of by ints.  The target is
+    reduced over the stored pivots and read off its unit block.  Returns
+    (numerators, denominator) with a numerator for every column, or None,
+    and raises ValueError on dependent columns, as Factorization does.
     """
     from kcone.linalg import IntEchelon
 
@@ -597,6 +614,29 @@ def dense_hnf_certified_split(rd, vectors, support_norm_sq, certify_norm_sq):
     certified = [build(c) for c in sorted((c for c in done if c >= n_big), reverse=True)]
     provisional = [build(c) for c in sorted((c for c in done if c < n_big), reverse=True)]
     return certified, provisional
+
+
+def split_classes(rd, vectors, support_norm_sq, certify_norm_sq):
+    """ktheory.hnf_certified_split on KClasses, read back as KClasses.
+
+    Ids come from WeightIndex.dominant_id in first-seen order over the
+    vectors' supports.  Returns (certified, provisional), each a list of
+    (KClass, combination) with combination sorted by input index.
+    """
+    from kcone import KClass
+    from kcone.ktheory import WeightIndex, hnf_certified_split
+
+    index = WeightIndex(rd, (0,) * rd.rank, (0,) * rd.rank)
+    rows = [[(index.dominant_id(w), c) for w, c in kc.coeffs] for kc in vectors]
+    split = hnf_certified_split(rd, rows, support_norm_sq, certify_norm_sq, index)
+
+    def kclass(tv):
+        return KClass(tuple(sorted((index.weights[i], c) for i, c in tv.row.items())))
+
+    return (
+        [(kclass(tv), tv.combination) for tv in split.certified],
+        [(kclass(tv), tv.combination) for tv in split.provisional],
+    )
 
 
 def reference_spanning_set(rd, gd, bound_sq):

@@ -26,9 +26,9 @@ from kcone import (
     weyl_dim,
 )
 from kcone import assocvar
-from kcone.linalg import IntEchelon, solve
+from kcone.linalg import IntEchelon
 
-from helpers import solve_fractions, weyl_orbit
+from helpers import fresh_solve, solve_fractions, weyl_orbit
 
 
 def trivial_module_a1():
@@ -290,8 +290,8 @@ def interleaved_queries(draw):
 
 
 def fresh_coords(certified, kc):
-    """Coordinates from a fresh linalg.solve on the certified rows."""
-    numerators, denominator = solve([v.kclass.as_row() for v in certified], kc.as_row())
+    """Coordinates from a fresh Factorization of the certified rows."""
+    numerators, denominator = fresh_solve([v.kclass.as_row() for v in certified], kc.as_row())
     assert all(x % denominator == 0 for x in numerators)
     return {v: x // denominator for v, x in zip(certified, numerators) if x}
 

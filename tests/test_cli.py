@@ -8,11 +8,9 @@ import sys
 import time
 
 import pytest
-from hypothesis import example, given, settings
-from hypothesis import strategies as st
 
 from kcone import cli, orbitalg
-from kcone.cli import _json_text, main
+from kcone.cli import main
 
 from helpers import reference_payload
 
@@ -293,6 +291,20 @@ def test_pushforward_nondominant_phi(capsys):
     assert "dominant" in err
 
 
+def test_pushforward_negative_phi_needs_the_equals_form(capsys):
+    # (-1, 0) is dominant for the torus, the Levi of A2's regular orbit; a
+    # separate "-1,0" reads as an option, so it must follow "--phi="
+    code, out, _ = run_cli(
+        capsys, "pushforward", "A2", "--orbit", "2", "--phi=-1,0", "--format", "text"
+    )
+    assert code == 0
+    assert out == "pushforward of [-1, 0] on orbit 2: rank 1: +1[0,1]\n"
+    with pytest.raises(SystemExit) as exc:
+        main(["pushforward", "A2", "--orbit", "2", "--phi", "-1,0"])
+    assert exc.value.code == 2
+    assert "argument --phi: expected one argument" in capsys.readouterr().err
+
+
 def test_selftest(capsys):
     code, out, _ = run_cli(capsys, "selftest")
     assert code == 0
@@ -318,35 +330,6 @@ def test_json_round_trip(capsys, tmp_path):
     code, out, _ = run_cli(capsys, "acycle", "A1", "--bound-sq", "16", "--module", str(module))
     assert code == 0
     assert json.loads(out)["variety"] == [0]
-
-
-JSON_SCALARS = (
-    st.none()
-    | st.booleans()
-    | st.integers()
-    | st.integers(min_value=-(2**80), max_value=2**80)
-    | st.text()
-)
-JSON_PAYLOADS = st.recursive(
-    JSON_SCALARS,
-    lambda inner: st.lists(inner, max_size=4)
-    | st.dictionaries(st.text(max_size=6), inner, max_size=4),
-    max_leaves=30,
-)
-
-
-@given(JSON_PAYLOADS)
-@example({"label": 'caf\u00e9 "q" \\ \x00\x1f\n\t\u2028 \U0001d11e', "n": [-7, 2**70, True, None]})
-@example({"": [], "e": {}, "l": [[], {}, [[]]], "f": False})
-@settings(max_examples=200, deadline=None)
-def test_json_writer_matches_json_dumps(payload):
-    assert _json_text(payload) == json.dumps(payload, indent=2)
-
-
-@pytest.mark.parametrize("bad", [1.5, (1, 2), {1: "x"}, {None: 0}, [{"a": [0.5]}], {"t": (0,)}])
-def test_json_writer_rejects_other_types(bad):
-    with pytest.raises(TypeError):
-        _json_text(bad)
 
 
 @pytest.mark.parametrize(

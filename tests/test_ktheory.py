@@ -31,6 +31,7 @@ from helpers import (
     brute_pushforward,
     pushforward_reference,
     reference_spanning_set,
+    split_classes,
     weyl_dim_fractions,
     weyl_group,
 )
@@ -234,14 +235,9 @@ def test_subset_cap_must_be_nonnegative(monkeypatch):
 
 
 def test_hnf_split_rejects_out_of_window(a1):
-    # (8,) has norm^2 32 > 16; (2,) and (4,) fit
-    inside = KClass((((2,), 1), ((4,), -1)))
-    assert hnf_certified_split(a1, [inside], 16, 16).certified
-    assert hnf_certified_split(a1, [KClass((((8,), 1),))], 64, 64).certified
-    with pytest.raises(ValueError, match="outside the support window"):
-        hnf_certified_split(a1, [inside, KClass((((8,), 1),))], 16, 16)
-    # id rows: the index holds int_norm (norm_scale 2 times norm^2), and a
-    # weight it already holds is still checked against each window
+    # (8,) has norm^2 32 > 16; (2,) and (4,) fit.  The index holds int_norm
+    # (norm_scale 2 times norm^2), and a weight it already holds is still
+    # checked against each window
     index = WeightIndex(a1, (0,), (8,))
     two, four, eight = (index.dominant_id(w) for w in [(2,), (4,), (8,)])
     assert index.norms == [4, 16, 64]
@@ -250,16 +246,6 @@ def test_hnf_split_rejects_out_of_window(a1):
     assert hnf_certified_split(a1, [((eight, 1),)], 64, 64, index).certified
     with pytest.raises(ValueError, match="outside the support window"):
         hnf_certified_split(a1, rows + [((eight, 1),)], 16, 16, index)
-
-
-def test_hnf_split_rejects_non_dominant(a1, a2):
-    with pytest.raises(ValueError, match="outside the dominant chamber"):
-        hnf_certified_split(a1, [KClass((((-2,), 1),))], 16, 16)
-    with pytest.raises(ValueError, match="outside the dominant chamber"):
-        hnf_certified_split(a2, [KClass((((1, -1), 1),))], 16, 16)
-    # a weight of the wrong rank is not in the window either
-    with pytest.raises(ValueError, match="outside the dominant chamber"):
-        hnf_certified_split(a2, [KClass((((1,), 1),))], 16, 16)
 
 
 @pytest.mark.parametrize("label,bound", [("A2", 50), ("B2", 16), ("G2", 8), ("A1xA1xA1", 2)])
@@ -325,18 +311,18 @@ def test_weight_index_folds_each_code_once(a2, monkeypatch):
 
 def test_hnf_certified_split_a1_skyscrapers(a1):
     vectors = [skyscraper_class(a1, (n,)) for n in range(8)]
-    split = hnf_certified_split(a1, vectors, Fraction(50), Fraction(16))
-    cert = [tv.kclass.as_dict() for tv in split.certified]
-    assert cert == [{(n,): 1, (n + 2,): -1} for n in range(4)]
-    assert [tv.combination for tv in split.certified] == [((n, 1),) for n in range(4)]
-    prov = [tv.kclass.as_dict() for tv in split.provisional]
-    assert prov == [{(n,): 1, (n + 2,): -1} for n in range(4, 8)]
+    certified, provisional = split_classes(a1, vectors, Fraction(50), Fraction(16))
+    assert [kc.as_dict() for kc, _ in certified] == [{(n,): 1, (n + 2,): -1} for n in range(4)]
+    assert [comb for _, comb in certified] == [((n, 1),) for n in range(4)]
+    assert [kc.as_dict() for kc, _ in provisional] == [
+        {(n,): 1, (n + 2,): -1} for n in range(4, 8)
+    ]
     # combinations reproduce the classes exactly
-    for tv in split.certified + split.provisional:
+    for kc, comb in certified + provisional:
         acc = KClass(())
-        for t, c in tv.combination:
+        for t, c in comb:
             acc = kclass_add(acc, kclass_scale(vectors[t], c))
-        assert acc.coeffs == tv.kclass.coeffs
+        assert acc.coeffs == kc.coeffs
 
 
 @pytest.mark.parametrize("label,bound", [("A2", 50), ("B2", 16), ("G2", 8), ("A1xA1", 16)])
@@ -348,12 +334,12 @@ def test_tracked_combinations_reproduce_their_rows(label, bound):
     for orbit in classify_orbits(rd):
         span = reference_spanning_set(rd, grading_data(rd, orbit), bound)
         vectors = list(dict.fromkeys(kc for _, kc in span))
-        split = hnf_certified_split(rd, vectors, win.support_sq, win.bound_sq)
-        assert split.certified or split.provisional
-        for tv in split.certified + split.provisional:
+        certified, provisional = split_classes(rd, vectors, win.support_sq, win.bound_sq)
+        assert certified or provisional
+        for kc, comb in certified + provisional:
             acc = {}
-            for t, n in tv.combination:
+            for t, n in comb:
                 assert n
                 for w, c in vectors[t].coeffs:
                     acc[w] = acc.get(w, 0) + n * c
-            assert {w: c for w, c in acc.items() if c} == tv.kclass.as_dict()
+            assert {w: c for w, c in acc.items() if c} == kc.as_dict()

@@ -13,14 +13,16 @@ from kcone import (
     module_to_kclass,
     weight_norm_sq,
 )
-from kcone.linalg import Factorization, IntEchelon, _normalize_row, solve
+from kcone.linalg import Factorization, IntEchelon, _normalize_row
 from kcone.repcalc import _root_coefficients
 
 from helpers import (
     ScanIntEchelon,
     cartan_inverse_fractions,
     flatten_kclass,
+    fresh_solve,
     gram_fractions,
+    listed,
     rank_steps,
     rational_rank,
     solve_fractions,
@@ -42,7 +44,8 @@ def sparse(row, keys, rng=None):
 
 
 def assert_matches_reference(columns, target, keys=None, sparse_columns=None, sparse_target=None):
-    """solve on dict rows against tuple_key_solve on them and the Fraction reference on dense rows.
+    """fresh_solve on dict rows against tuple_key_solve on them and the Fraction
+    reference on dense rows.
 
     The dict rows are given, or else built over keys (default 0..m-1).
     """
@@ -54,11 +57,11 @@ def assert_matches_reference(columns, target, keys=None, sparse_columns=None, sp
         expected = solve_fractions(columns, target)
     except ValueError:
         with pytest.raises(ValueError, match="dependent"):
-            solve(sparse_columns, sparse_target)
+            fresh_solve(sparse_columns, sparse_target)
         with pytest.raises(ValueError, match="dependent"):
             tuple_key_solve(sparse_columns, sparse_target)
         return "dependent"
-    answer = solve(sparse_columns, sparse_target)
+    answer = fresh_solve(sparse_columns, sparse_target)
     assert answer == tuple_key_solve(sparse_columns, sparse_target)
     assert as_fractions(answer) == expected
     if expected is None:
@@ -161,7 +164,7 @@ def test_int_echelon_matches_linear_scan_on_weight_rows():
 
 
 def test_int_echelon_matches_linear_scan_on_solve_rows():
-    # the blocks solve builds: (0, w) class entries, (1, j) units, (2,) marker
+    # Factorization's blocks over tuple keys: (0, w) class, (1, j) units, (2,) marker
     rng = random.Random(62)
     for _ in range(60):
         weights = random_weight_keys(rng, rng.randint(1, 8))
@@ -221,22 +224,23 @@ def test_pivot_rules_examples():
 
 def test_solve_examples():
     # integer coordinates: 2 * (1, 1) - (0, 1) = (2, 1)
-    assert solve([{0: 1, 1: 1}, {1: 1}], {0: 2, 1: 1}) == ([2, -1], 1)
+    assert fresh_solve([{0: 1, 1: 1}, {1: 1}], {0: 2, 1: 1}) == ([2, -1], 1)
     # non-integer coordinates: (1, 0) = 1/2 * (2, 0)
-    assert solve([{0: 2}], {0: 1}) == ([1], 2)
+    assert fresh_solve([{0: 2}], {0: 1}) == ([1], 2)
     # out of span
-    assert solve([{0: 1}, {1: 1}], {2: 1}) is None
+    assert fresh_solve([{0: 1}, {1: 1}], {2: 1}) is None
     # dependent columns raise, whatever the target
     with pytest.raises(ValueError, match="dependent"):
-        solve([{0: 1, 1: 2}, {0: 2, 1: 4}], {0: 1, 1: 2})
+        fresh_solve([{0: 1, 1: 2}, {0: 2, 1: 4}], {0: 1, 1: 2})
     with pytest.raises(ValueError, match="dependent"):
-        solve([{(0, 1): 1}, {(0, 1): 0}], {})
+        fresh_solve([{(0, 1): 1}, {(0, 1): 0}], {})
     # no columns: only the zero target is in the span
-    assert solve([], {}) == ([], 1)
-    assert solve([], {(0, 0): 0}) == ([], 1)
-    assert solve([], {(0, 1): 1}) is None
+    assert fresh_solve([], {}) == ([], 1)
+    assert fresh_solve([], {(0, 0): 0}) == ([], 1)
+    assert fresh_solve([], {(0, 1): 1}) is None
     # weight keys, with an explicit zero
-    assert solve([{(1, 0): 1, (0, 2): 0}, {(0, 2): 3}], {(1, 0): 2, (0, 2): 1}) == ([6, 1], 3)
+    columns = [{(1, 0): 1, (0, 2): 0}, {(0, 2): 3}]
+    assert fresh_solve(columns, {(1, 0): 2, (0, 2): 1}) == ([6, 1], 3)
 
 
 def seeded_target(rng, columns, m):
@@ -296,15 +300,6 @@ def test_solve_matches_fraction_reference():
     }
 
 
-def listed(answer, k):
-    """A Factorization answer with a numerator for each of the k columns, as solve gives it."""
-    if answer is None:
-        return None
-    numerators, denominator = answer
-    assert all(numerators.values()) and list(numerators) == sorted(numerators)
-    return [numerators.get(j, 0) for j in range(k)], denominator
-
-
 def test_factorization_answers_every_target_as_a_fresh_solve():
     rng = random.Random(20261018)
     seen = set()
@@ -322,7 +317,7 @@ def test_factorization_answers_every_target_as_a_fresh_solve():
         # every target, then the first again, after the others were answered
         for t in targets + targets[:1]:
             answer = listed(factorization.solve(t), len(columns))
-            assert answer == solve(sparse_columns, t)
+            assert answer == fresh_solve(sparse_columns, t)
             seen.add("out of span" if answer is None else "solved")
         assert factorization._echelon._by_pivot == stored
     assert seen == {"solved", "out of span", "dependent"}

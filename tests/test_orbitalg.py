@@ -7,19 +7,23 @@ from kcone import (
     build_root_datum,
     classify_orbits,
     enumerate_dominant,
+    express_in_geometric_basis,
     full_basis,
+    gamma_class,
     grading_data,
     kclass_add,
     kclass_scale,
     norm_constant,
     pushforward,
     pushforward_kernel,
+    weight_sub,
     weyl_dim,
 )
 from kcone import ktheory, orbitalg
 from kcone.ktheory import KClass
 from kcone.linalg import IntEchelon
 from kcone.orbitalg import orbital_basis, spanning_set
+from kcone.repcalc import _root_coefficients
 
 from helpers import (
     flatten_kclass,
@@ -106,13 +110,44 @@ def test_full_basis_a2_regular_stratum(basis_cache):
     }
 
 
+# (label, bound, certified count, regular-orbit certified count)
+COUNT_CASES = [
+    ("A1", 16, 6, 2),
+    ("A2", 18, 22, 3),
+    ("A2", 50, 54, 3),
+    ("B2", 16, 10, 2),
+    ("B2", 64, 32, 2),
+    ("G2", 8, 4, 1),
+    ("G2", 32, 9, 1),
+    ("A1xA1", 16, 31, 4),
+    ("A1xA1xA1", 2, 11, 8),
+    ("A2", 200, 197, 3),
+]
+
+
 def test_certified_counts_match_window_dimension(basis_cache):
-    # spanning + independence forces the certified count to equal the number
-    # of dominant weights inside the bound
-    for label, bound in [("A1", 16), ("A2", 18), ("B2", 16)]:
+    # the invariants of the full_basis docstring: the certified vectors are
+    # as many as the dominant weights inside the bound, every such weight's
+    # class expands in them with integer coordinates, and the regular orbit
+    # holds one certified vector per coset of X/Q that meets the bound
+    for label, bound, total, regular in COUNT_CASES:
         basis = basis_cache(label, bound)
         rd = build_root_datum(label)
-        assert len(basis.certified_vectors()) == len(enumerate_dominant(rd, bound))
+        dominant = enumerate_dominant(rd, bound)
+        assert len(basis.certified_vectors()) == len(dominant) == total, label
+        for lam in dominant:
+            coords = express_in_geometric_basis(rd, gamma_class(rd, lam), basis)
+            acc = KClass(())
+            for v, n in coords.items():
+                acc = kclass_add(acc, kclass_scale(v.kclass, n))
+            assert acc.coeffs == gamma_class(rd, lam).coeffs
+        cosets = []
+        for lam in dominant:
+            if all(_root_coefficients(rd, weight_sub(lam, mu)) is None for mu in cosets):
+                cosets.append(lam)
+        top = max(basis.orbits, key=lambda o: o.dimension)
+        certified = [v for v in basis.strata[top.id] if v.certified]
+        assert len(certified) == len(cosets) == regular, label
 
 
 def test_certified_supports_within_bound(basis_cache):

@@ -9,7 +9,6 @@ combination, rank, certified flag) must equal it exactly.
 import pytest
 
 from kcone import build_root_datum, classify_orbits, grading_data
-from kcone.ktheory import hnf_certified_split
 from kcone.orbitalg import _windows
 
 from helpers import (
@@ -17,6 +16,7 @@ from helpers import (
     dense_strata,
     library_strata,
     reference_spanning_set,
+    split_classes,
     strata_digest,
 )
 
@@ -52,9 +52,7 @@ def test_hnf_split_matches_dense_reference(label, bound):
     for orbit in classify_orbits(rd):
         span = reference_spanning_set(rd, grading_data(rd, orbit), bound)
         vectors = [kc for _, kc in span]
-        split = hnf_certified_split(rd, vectors, win.support_sq, win.bound_sq)
-        certified, provisional = dense_hnf_certified_split(
-            rd, vectors, win.support_sq, win.bound_sq
-        )
-        assert [(t.kclass.coeffs, t.combination) for t in split.certified] == certified
-        assert [(t.kclass.coeffs, t.combination) for t in split.provisional] == provisional
+        certified, provisional = split_classes(rd, vectors, win.support_sq, win.bound_sq)
+        dense = dense_hnf_certified_split(rd, vectors, win.support_sq, win.bound_sq)
+        assert [(kc.coeffs, comb) for kc, comb in certified] == dense[0]
+        assert [(kc.coeffs, comb) for kc, comb in provisional] == dense[1]

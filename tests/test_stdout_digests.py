@@ -2,9 +2,10 @@
 
 perfbench/digests.json holds the sha256 of the stdout of each `kcone` call
 the benchmark makes, and of the basis its acycle-batch workload builds with
-full_basis; tests/cli_digests.json holds those of `kcone basis` calls the
-benchmark does not make (text output and --orbit).  Any change to a
-stratum, to the JSON or to the text shows up here as a mismatch.
+full_basis; tests/cli_digests.json holds those of `kcone` calls the
+benchmark does not make: `basis` text output and --orbit, `orbits` and
+`pushforward`.  Any change to a stratum, to the JSON or to the text shows
+up here as a mismatch.
 """
 
 import contextlib
@@ -54,7 +55,7 @@ def test_basis_stdout_matches_digest(key):
 
 
 @pytest.mark.parametrize("key", sorted(MORE_DIGESTS))
-def test_text_and_orbit_stdout_matches_digest(key):
+def test_other_stdout_matches_digest(key):
     assert stdout_sha256(key.split()) == MORE_DIGESTS[key]
 
 
