@@ -26,7 +26,7 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import mul
+from operator import mul, neg
 from typing import Iterable, Optional, Sequence
 
 from .linalg import combine
@@ -210,8 +210,8 @@ class WeightIndex:
     - code is affine, so code(phi + s) = code(phi) + shift(s) with
       shift(s) = sum s_i m_i, whenever phi and phi + s lie in the box;
     - a digit string is the base-(width) expansion of its code, so the
-      code determines w, and decode, the divmod chain from the last
-      coordinate, recovers it;
+      code determines w, and the divmod chain from the last coordinate
+      recovers it (fold decodes so);
     - two codes compare like their digit strings read from the most
       significant, that is, like the weights in lex order.
 
@@ -251,13 +251,6 @@ class WeightIndex:
     def shift(self, s: Sequence[int]) -> int:
         return sum(map(mul, s, self.radix))
 
-    def decode(self, code: int) -> Weight:
-        w = [0] * len(self.lo)
-        for i in range(len(w) - 1, -1, -1):
-            code, digit = divmod(code, self.widths[i])
-            w[i] = self.lo[i] + digit
-        return tuple(w)
-
     def dominant_id(self, w: Weight) -> int:
         """The id of the dominant weight w, given a new one if it has none yet."""
         i = self._ids.get(w)
@@ -268,9 +261,21 @@ class WeightIndex:
         return i
 
     def fold(self, codes: Iterable[int]) -> None:
-        """Enter the codes into conjugate, folding only those it lacks."""
-        for c in sorted(set(codes).difference(self.conjugate)):
-            self.conjugate[c] = self.dominant_id(dominant_conjugate(self.rd, self.decode(c)))
+        """Enter the codes into conjugate, folding only those it lacks.
+
+        Each new code is decoded by the divmod chain from the last
+        coordinate, and its weight is passed to rootdata.dominant_conjugate
+        once.
+        """
+        rd, lo, widths, conjugate = self.rd, self.lo, self.widths, self.conjugate
+        digits = range(len(lo) - 1, -1, -1)
+        w = [0] * len(lo)
+        for c in sorted(set(codes).difference(conjugate)):
+            code = c
+            for i in digits:
+                code, digit = divmod(code, widths[i])
+                w[i] = lo[i] + digit
+            conjugate[c] = self.dominant_id(dominant_conjugate(rd, tuple(w)))
 
 
 def pushforward_classes(
@@ -363,34 +368,94 @@ def skyscraper_class(rd: RootDatum, phi: Sequence[int]) -> KClass:
 
 
 class _TrackedRow:
-    """Sparse integer row with the input combination that produced it."""
+    """Sparse integer row, with the record of the unimodular steps that built it.
 
-    __slots__ = ("vec", "comb", "order")
+    record is the input index t, ("-", record) after a negation, or
+    (record, q, pivot record) after subtracting q times a pivot row.
+    Records are immutable and only ever replaced, so a pivot's record,
+    once taken, is a snapshot that later steps on the pivot cannot change.
+    subtract updates vec in place: no other row holds it, because pivots
+    are only read and negate builds a new dict.
+    """
 
-    def __init__(self, vec: dict[int, int], comb: dict[int, int], order: int) -> None:
+    __slots__ = ("vec", "record", "order")
+
+    def __init__(self, vec: dict[int, int], order: int) -> None:
         self.vec = vec
-        self.comb = comb
+        self.record = order
         self.order = order
 
     def negate(self) -> None:
         self.vec = {w: -x for w, x in self.vec.items()}
-        self.comb = {t: -c for t, c in self.comb.items()}
+        self.record = ("-", self.record)
 
     def subtract(self, q: int, other: "_TrackedRow") -> None:
-        self.vec = combine(1, self.vec, q, other.vec)
-        self.comb = combine(1, self.comb, q, other.comb)
+        vec = self.vec
+        for k, y in other.vec.items():
+            x = vec.get(k, 0) - q * y
+            if x:
+                vec[k] = x
+            else:
+                del vec[k]
+        self.record = (self.record, q, other.record)
 
 
-@dataclass(frozen=True)
+def _replay(record, memo: dict) -> dict[int, int]:
+    """The input combination a step record stands for, as {input index: coefficient}.
+
+    memo maps id(r) to (r, combination) for every record r replayed so far;
+    holding r keeps its id from being reused, and the combinations are
+    shared and never written.  Iterative, since records nest as deep as a
+    row's elimination history: a record waits on the stack until the
+    records it is built from are in memo.
+    """
+
+    def value(r) -> dict[int, int]:
+        return {r: 1} if type(r) is int else memo[id(r)][1]
+
+    stack = [record]
+    while stack:
+        r = stack[-1]
+        if type(r) is int or id(r) in memo:
+            stack.pop()
+            continue
+        parts = r[1:] if len(r) == 2 else r[::2]
+        todo = [p for p in parts if type(p) is tuple and id(p) not in memo]
+        if todo:
+            stack.extend(todo)
+            continue
+        stack.pop()
+        if len(r) == 2:
+            memo[id(r)] = (r, {t: -c for t, c in value(r[1]).items()})
+        else:
+            memo[id(r)] = (r, combine(1, value(r[0]), r[1], value(r[2])))
+    return value(record)
+
+
 class TrackedVector:
     """A split output, with the integer combination of inputs that built it.
 
     row maps each id of the index that the output carries to its nonzero
-    coefficient.
+    coefficient.  combination is the sorted ((input index, coefficient),
+    ...) with sum_t c_t input_t = row.  It is replayed from the step
+    record when first read, through a memo shared by every output of the
+    split, and kept; an output whose combination is never read is never
+    replayed.
     """
 
-    row: dict[int, int]
-    combination: tuple[tuple[int, int], ...]  # (input index, coefficient)
+    __slots__ = ("row", "_record", "_memo", "_combination")
+
+    def __init__(self, row: dict[int, int], record, memo: dict) -> None:
+        self.row = row
+        self._record = record
+        self._memo = memo
+        self._combination = None
+
+    @property
+    def combination(self) -> tuple[tuple[int, int], ...]:
+        if self._combination is None:
+            self._combination = tuple(sorted(_replay(self._record, self._memo).items()))
+        return self._combination
 
 
 @dataclass(frozen=True)
@@ -436,12 +501,31 @@ def hnf_certified_split(
     pivot is the least row by (|entry|, input order), a total order, and
     every other row is reduced by the pivot alone, so bucket order cannot
     change the split.  build maps the positions back to the ids.
+
+    Combinations are replayed, not carried.  A row holds a step record
+    (see _TrackedRow) in place of its combination, and build records the
+    output's sign as ("-", record) instead of negating anything.  Proof
+    sketch that a replayed combination is the one carrying would give:
+    put comb(t) = {t: 1}, comb(("-", r)) = -comb(r) and comb((r, q, p)) =
+    comb(r) - q comb(p).  Carrying applies exactly these integer steps, in
+    this order, to what the row and the pivot held at each step.  A record
+    is never mutated and a row's record is replaced at every step, so p is
+    the pivot's record at the moment it was used, even when the pivot is
+    reduced in a later pass of its bucket, and by induction over the steps
+    comb(p) is the combination the pivot then held.  So _replay, which
+    evaluates comb, gives every combination entry for entry (zeros are
+    dropped in both).  The rows, the pivots and the outputs depend on vec
+    alone, which is updated as before, so the split is unchanged.  Most
+    subtractions fall on rows that end at zero, whose records are dropped
+    with them; an output whose combination is never read is never
+    replayed.
     """
     support_norm_sq = Fraction(support_norm_sq)
     support_bound = int_norm_bound(rd, support_norm_sq)
     certify_bound = int_norm_bound(rd, certify_norm_sq)
     weights, norms = index.weights, index.norms
-    columns = sorted({i for row in vectors for i, _ in row}, key=lambda i: (norms[i], weights[i]))
+    columns = sorted({i for row in vectors for i, _ in row}, key=weights.__getitem__)
+    columns.sort(key=norms.__getitem__)  # stable, so in (norm^2, lex) order
     if columns and norms[columns[-1]] > support_bound:
         raise ValueError(
             f"class support {weights[columns[-1]]} lies outside the support window "
@@ -449,16 +533,16 @@ def hnf_certified_split(
         )
     position = {i: p for p, i in enumerate(columns)}
     buckets: dict[int, list[_TrackedRow]] = {}
-
-    def file_row(r: _TrackedRow) -> None:  # in the bucket of its leading column
-        buckets.setdefault(max(r.vec), []).append(r)
-
+    bucket = buckets.setdefault  # a row waits in the bucket of its leading column
     for t, row in enumerate(vectors):
         if row:
-            file_row(_TrackedRow({position[i]: c for i, c in row}, {t: 1}, t))
+            vec = {position[i]: c for i, c in row}
+            bucket(max(vec), []).append(_TrackedRow(vec, t))
     done: dict[int, _TrackedRow] = {}
     for col in range(len(columns) - 1, -1, -1):
-        with_entry = buckets.pop(col, [])
+        with_entry = buckets.pop(col, None)
+        if with_entry is None:
+            continue
         while len(with_entry) > 1:
             with_entry.sort(key=lambda r: (abs(r.vec[col]), r.order))
             p = with_entry[0]
@@ -472,20 +556,24 @@ def hnf_certified_split(
                 if col in r.vec:
                     survivors.append(r)
                 elif r.vec:
-                    file_row(r)
+                    bucket(max(r.vec), []).append(r)
             with_entry = survivors
-        if with_entry:
-            p = with_entry[0]
-            if p.vec[col] < 0:
-                p.negate()
-            done[col] = p
+        p = with_entry[0]
+        if p.vec[col] < 0:
+            p.negate()
+        done[col] = p
+
+    memo: dict = {}
+    at = columns.__getitem__
 
     def build(col: int) -> TrackedVector:
         row = done[col]
-        if row.vec[min(row.vec)] < 0:  # smallest-norm coefficient positive
-            row.negate()
-        comb = tuple(sorted(row.comb.items()))
-        return TrackedVector({columns[p]: x for p, x in row.vec.items()}, comb)
+        vec = row.vec
+        if vec[min(vec)] < 0:  # smallest-norm coefficient positive: record the sign
+            return TrackedVector(
+                dict(zip(map(at, vec), map(neg, vec.values()))), ("-", row.record), memo
+            )
+        return TrackedVector(dict(zip(map(at, vec), vec.values())), row.record, memo)
 
     pivots = sorted(done)
     return HnfSplit(

@@ -299,7 +299,7 @@ def full_basis(rd: RootDatum, bound_sq) -> GeometricBasis:
     holds such a weight, as the Lusztig-Vogan bijection would give with
     the centre's characters X/Q on the regular orbit (Ostrik, Represent.
     Theory 4, 2000).  test_certified_counts_match_window_dimension checks
-    both on ten cases of rank 1 to 3; neither is proved here.
+    both on twelve cases of rank 1 to 3; neither is proved here.
     """
     win = _windows(rd, bound_sq)
     orbits = tuple(classify_orbits(rd))

@@ -28,7 +28,7 @@ import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Iterable, Sequence
 
 from .linalg import Factorization
@@ -103,6 +103,14 @@ class RootDatum:
     def rho(self) -> Weight:
         """Half the sum of positive roots: (1, ..., 1)."""
         return (1,) * self.rank
+
+    @cached_property
+    def cartan_columns(self) -> tuple[tuple[tuple[int, int], ...], ...]:
+        """The nonzero entries (k, cartan[k][i]) of each column i, built on the first read."""
+        return tuple(
+            tuple((k, row[i]) for k, row in enumerate(self.cartan) if row[i])
+            for i in range(self.rank)
+        )
 
 
 def _simple_cartan(family: str, n: int) -> tuple[list[list[int]], list[int]]:
@@ -208,7 +216,12 @@ def _close_positive_roots(cartan: Sequence[Sequence[int]]) -> dict[tuple[int, ..
 
 def _parse_label(type_label: str) -> list[tuple[str, int]]:
     factors = []
-    for part in type_label.split("x"):
+    parts = type_label.split("x")
+    for part in parts:
+        if len(parts) > 1 and not part.strip():
+            raise UnknownTypeError(
+                f"cannot parse Cartan type {type_label!r}: the product label has an empty factor"
+            )
         m = _LABEL_RE.match(part.strip())
         if not m:
             raise UnknownTypeError(
@@ -298,17 +311,31 @@ def build_root_datum(type_label: str) -> RootDatum:
 
 
 def dominant_conjugate(rd: RootDatum, w: Sequence[int]) -> Weight:
-    """The unique dominant weight on the Weyl orbit of w."""
-    cur = tuple(w)
+    """The unique dominant weight on the Weyl orbit of w.
+
+    Finds the first negative coordinate w_i, applies the simple
+    reflection s_i (w - w_i a_i, where the simple root a_i is column i of
+    the Cartan matrix) and scans again from node 0, until no coordinate
+    is negative.  The reflection is made in place on a list and touches
+    only the nonzero entries of column i (rd.cartan_columns); the zero
+    entries would leave their coordinates as they are, so the sequence of
+    reflections, and the result, are those of rebuilding the whole tuple
+    at each step.
+    """
+    cur = list(w)
     if len(cur) != rd.rank:
-        raise ValueError(f"weight {cur} has wrong rank for {rd.type_label}")
-    while True:
-        for i, x in enumerate(cur):
-            if x < 0:
-                cur = tuple(cur[k] - x * rd.cartan[k][i] for k in range(rd.rank))
-                break
+        raise ValueError(f"weight {tuple(cur)} has wrong rank for {rd.type_label}")
+    columns = rd.cartan_columns
+    i, rank = 0, len(cur)
+    while i < rank:
+        x = cur[i]
+        if x < 0:
+            for k, a in columns[i]:
+                cur[k] -= x * a
+            i = 0
         else:
-            return cur
+            i += 1
+    return tuple(cur)
 
 
 def int_pair(rd: RootDatum, a: Sequence[int], b: Sequence[int]) -> int:

@@ -71,6 +71,31 @@ def brute_dominant(rd, w) -> tuple[int, ...]:
     return dom[0]
 
 
+def tuple_dominant_conjugate(rd, w) -> tuple[int, ...]:
+    """dominant_conjugate as a loop that rebuilds the whole tuple at each reflection.
+
+    It reflects at the first negative coordinate and rescans from node 0,
+    the sequence of reflections the library makes in place.
+    """
+    cur = tuple(w)
+    while True:
+        for i, x in enumerate(cur):
+            if x < 0:
+                cur = tuple(cur[k] - x * rd.cartan[k][i] for k in range(rd.rank))
+                break
+        else:
+            return cur
+
+
+def decode(index, code) -> tuple[int, ...]:
+    """The weight of a WeightIndex code: its digits, most significant first."""
+    w = []
+    for lo, width in zip(reversed(index.lo), reversed(index.widths)):
+        code, digit = divmod(code, width)
+        w.append(lo + digit)
+    return tuple(reversed(w))
+
+
 def apply_weyl(m: Matrix, w) -> tuple[int, ...]:
     return _mat_apply(m, w)
 
@@ -616,19 +641,28 @@ def dense_hnf_certified_split(rd, vectors, support_norm_sq, certify_norm_sq):
     return certified, provisional
 
 
-def split_classes(rd, vectors, support_norm_sq, certify_norm_sq):
-    """ktheory.hnf_certified_split on KClasses, read back as KClasses.
+def id_row_split(rd, vectors, support_norm_sq, certify_norm_sq):
+    """ktheory.hnf_certified_split on KClasses: (split, id rows, index).
 
     Ids come from WeightIndex.dominant_id in first-seen order over the
-    vectors' supports.  Returns (certified, provisional), each a list of
-    (KClass, combination) with combination sorted by input index.
+    vectors' supports.
     """
-    from kcone import KClass
     from kcone.ktheory import WeightIndex, hnf_certified_split
 
     index = WeightIndex(rd, (0,) * rd.rank, (0,) * rd.rank)
     rows = [[(index.dominant_id(w), c) for w, c in kc.coeffs] for kc in vectors]
-    split = hnf_certified_split(rd, rows, support_norm_sq, certify_norm_sq, index)
+    return hnf_certified_split(rd, rows, support_norm_sq, certify_norm_sq, index), rows, index
+
+
+def split_classes(rd, vectors, support_norm_sq, certify_norm_sq):
+    """id_row_split read back as KClasses.
+
+    Returns (certified, provisional), each a list of (KClass, combination)
+    with combination sorted by input index.
+    """
+    from kcone import KClass
+
+    split, _, index = id_row_split(rd, vectors, support_norm_sq, certify_norm_sq)
 
     def kclass(tv):
         return KClass(tuple(sorted((index.weights[i], c) for i, c in tv.row.items())))

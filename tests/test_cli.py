@@ -43,6 +43,16 @@ def test_orbits_bad_type(capsys):
     assert "cannot parse" in err
 
 
+@pytest.mark.parametrize(
+    "argv", [["orbits", "A2x"], ["orbits", "xA2"], ["basis", "A2xx", "--bound-sq", "1"]]
+)
+def test_empty_factor_in_a_product_label_exits_2(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and not out
+    assert f"cannot parse Cartan type {argv[1]!r}" in err
+    assert "empty factor" in err
+
+
 def test_orbits_missing_table(capsys):
     code, _, err = run_cli(capsys, "orbits", "F4")
     assert code == 2

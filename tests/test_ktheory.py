@@ -11,6 +11,7 @@ from kcone import (
     build_root_datum,
     classify_orbits,
     dominant_conjugate,
+    enumerate_dominant,
     gamma_class,
     grading_data,
     kclass_add,
@@ -29,9 +30,13 @@ from kcone.orbitalg import _ball_and_index, _windows
 from helpers import (
     brute_dominant,
     brute_pushforward,
+    decode,
+    dense_hnf_certified_split,
+    id_row_split,
     pushforward_reference,
     reference_spanning_set,
     split_classes,
+    tuple_dominant_conjugate,
     weyl_dim_fractions,
     weyl_group,
 )
@@ -267,7 +272,7 @@ def test_weight_codes_on_the_ball_and_offsets(label, bound):
     box = 1
     for width in index.widths:
         box *= width
-    assert all(0 <= index.code(w) < box and index.decode(index.code(w)) == w for w in moved)
+    assert all(0 <= index.code(w) < box and decode(index, index.code(w)) == w for w in moved)
     assert sorted(moved, key=index.code) == sorted(moved)
 
 
@@ -282,8 +287,8 @@ def test_weight_codes_in_any_box(data):
     point = st.tuples(*(st.integers(a, b) for a, b in zip(lo, hi)))
     weights = data.draw(st.lists(point, min_size=1, max_size=12))
     codes = [index.code(w) for w in weights]
-    assert [index.decode(c) for c in codes] == weights
-    assert [index.decode(c) for c in sorted(codes)] == sorted(weights)
+    assert [decode(index, c) for c in codes] == weights
+    assert [decode(index, c) for c in sorted(codes)] == sorted(weights)
     for v, cv in zip(weights, codes):
         for w, cw in zip(weights, codes):
             assert cv + index.shift(tuple(b - a for a, b in zip(v, w))) == cw
@@ -307,6 +312,24 @@ def test_weight_index_folds_each_code_once(a2, monkeypatch):
         i = index.conjugate[index.code(w)]
         assert index.weights[i] == brute_dominant(a2, w)
         assert index.dominant_id(index.weights[i]) == i
+
+
+@pytest.mark.parametrize("label,bound", [("A2", 50), ("B2", 16), ("G2", 8), ("A1xA1xA1", 2)])
+def test_weight_index_fold_matches_the_tuple_loop(label, bound):
+    # every code of the box full_basis builds, folded at once, against the
+    # loop that rebuilds the tuple at each reflection
+    rd = build_root_datum(label)
+    win = _windows(rd, bound)
+    kernels = [pushforward_kernel(rd, grading_data(rd, o)) for o in classify_orbits(rd)]
+    _, index = _ball_and_index(rd, win.span_sq, kernels)
+    size = 1
+    for width in index.widths:
+        size *= width
+    index.fold(range(size))
+    assert len(index.conjugate) == size
+    for c in range(size):
+        w = decode(index, c)
+        assert index.weights[index.conjugate[c]] == tuple_dominant_conjugate(rd, w), w
 
 
 def test_hnf_certified_split_a1_skyscrapers(a1):
@@ -343,3 +366,93 @@ def test_tracked_combinations_reproduce_their_rows(label, bound):
                 for w, c in vectors[t].coeffs:
                     acc[w] = acc.get(w, 0) + n * c
             assert {w: c for w, c in acc.items() if c} == kc.as_dict()
+
+
+@st.composite
+def small_entry_classes(draw):
+    """A2 classes on the dominant weights of norm^2 <= 14, with entries in +-1, +-2, +-3.
+
+    Entries 2 and 3 in one column leave a remainder, so buckets take
+    several passes and a pivot is reduced after other rows recorded it.
+    """
+    rd = build_root_datum("A2")
+    window = enumerate_dominant(rd, 14)
+    coef = st.sampled_from([1, -1, 2, -2, 3, -3])
+    vectors = draw(
+        st.lists(
+            st.dictionaries(st.sampled_from(window), coef, min_size=1, max_size=5),
+            min_size=1,
+            max_size=10,
+        )
+    )
+    return rd, [KClass(tuple(sorted(v.items()))) for v in vectors]
+
+
+def test_a_recorded_pivot_is_reduced_in_a_later_pass(a1):
+    # inputs r0 = [0] + 2[4] and r1 = [2] + 3[4].  Column (4,): the pivot r0
+    # takes r1 to r1 - r0 = -[0] + [2] + [4]; in the second pass that row is
+    # the pivot, and takes r0, which it recorded, to 3 r0 - 2 r1 = 3[0] - 2[2]
+    vectors = [KClass((((0,), 1), ((4,), 2))), KClass((((2,), 1), ((4,), 3)))]
+    certified, provisional = split_classes(a1, vectors, Fraction(8), Fraction(8))
+    dense = dense_hnf_certified_split(a1, vectors, Fraction(8), Fraction(8))
+    assert [(kc.coeffs, comb) for kc, comb in certified] == dense[0]
+    assert [(kc.coeffs, comb) for kc, comb in certified] == [
+        ((((0,), 3), ((2,), -2)), ((0, 3), (1, -2))),
+        ((((0,), 1), ((2,), -1), ((4,), -1)), ((0, 1), (1, -1))),
+    ]
+    assert not provisional and not dense[1]
+
+
+@given(small_entry_classes())
+@settings(max_examples=150, deadline=None)
+def test_replayed_combinations_match_the_dense_split(drawn):
+    rd, vectors = drawn
+    certified, provisional = split_classes(rd, vectors, Fraction(14), Fraction(6))
+    dense = dense_hnf_certified_split(rd, vectors, Fraction(14), Fraction(6))
+    assert [(kc.coeffs, comb) for kc, comb in certified] == dense[0]
+    assert [(kc.coeffs, comb) for kc, comb in provisional] == dense[1]
+
+
+@given(small_entry_classes(), st.randoms(use_true_random=False))
+@settings(max_examples=150, deadline=None)
+def test_replay_reproduces_every_row_in_any_read_order(drawn, rng):
+    # sum_t c_t input_t is the output row; and the combinations read in a
+    # shuffled order, provisional first, equal those of a fresh split
+    # read certified first
+    rd, vectors = drawn
+    split, rows, _ = id_row_split(rd, vectors, 14, 6)
+    outputs = list(split.certified + split.provisional)
+    shuffled = list(split.provisional) + list(split.certified)
+    rng.shuffle(shuffled)
+    for tv in shuffled:
+        acc = {}
+        for t, n in tv.combination:
+            assert n
+            for i, c in rows[t]:
+                acc[i] = acc.get(i, 0) + n * c
+        assert {i: c for i, c in acc.items() if c} == tv.row
+    fresh, _, _ = id_row_split(rd, vectors, 14, 6)
+    assert [tv.combination for tv in fresh.certified + fresh.provisional] == [
+        tv.combination for tv in outputs
+    ]
+
+
+def test_an_unread_combination_is_never_replayed(monkeypatch):
+    rd = build_root_datum("A2")
+    win = _windows(rd, 50)
+    orbit = classify_orbits(rd)[1]
+    span = reference_spanning_set(rd, grading_data(rd, orbit), 50)
+    vectors = list(dict.fromkeys(kc for _, kc in span))
+    replayed = []
+    real = ktheory._replay
+
+    def counting(record, memo):
+        replayed.append(record)
+        return real(record, memo)
+
+    monkeypatch.setattr(ktheory, "_replay", counting)
+    split, _, _ = id_row_split(rd, vectors, win.support_sq, win.bound_sq)
+    assert len(split.certified) + len(split.provisional) > 2 and not replayed
+    tv = split.provisional[-1]
+    assert tv.combination == tv.combination  # the second read is kept, not replayed
+    assert len(replayed) == 1

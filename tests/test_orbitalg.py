@@ -122,6 +122,8 @@ COUNT_CASES = [
     ("A1xA1", 16, 31, 4),
     ("A1xA1xA1", 2, 11, 8),
     ("A2", 200, 197, 3),
+    ("A3", 2, 5, 4),
+    ("C3", 1, 2, 2),
 ]
 
 

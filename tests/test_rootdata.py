@@ -32,6 +32,7 @@ from helpers import (
     gram_fractions,
     norm_sq_fractions,
     root_coefficients_fractions,
+    tuple_dominant_conjugate,
     weight_height,
     weyl_group,
     weyl_orbit,
@@ -110,6 +111,9 @@ def test_simple_roots_are_cartan_columns():
         ("G3", "rank 2"),
         ("A99", "configured maximum"),
         ("", "cannot parse"),
+        ("A2x", "'A2x': the product label has an empty factor"),
+        ("xA2", "'xA2': the product label has an empty factor"),
+        ("A2xx", "'A2xx': the product label has an empty factor"),
     ],
 )
 def test_unknown_labels(label, msg_part):
@@ -141,6 +145,25 @@ def test_dominant_conjugate_brute_force(label):
         assert all(x >= 0 for x in dom)
         assert dom in weyl_orbit(rd, w)
         assert dom == brute_dominant(rd, w)
+
+
+CONJUGATE_LABELS = (
+    [f"A{n}" for n in range(1, 9)]
+    + [f"{f}{n}" for f in "BC" for n in range(2, 9)]
+    + [f"D{n}" for n in range(3, 9)]
+    + ["G2", "F4", "E6", "E7", "E8", "A1xA1xA1", "B2xG2"]
+)
+
+
+@given(st.data())
+@settings(max_examples=300, deadline=None)
+def test_dominant_conjugate_matches_the_tuple_loop(data):
+    # the in-place reflection over the nonzero Cartan entries against the
+    # loop that rebuilds the tuple, on every supported type up to rank 8
+    rd = build_root_datum(data.draw(st.sampled_from(CONJUGATE_LABELS)))
+    w = data.draw(st.tuples(*[st.integers(-12, 12)] * rd.rank))
+    assert dominant_conjugate(rd, w) == tuple_dominant_conjugate(rd, w)
+    assert dominant_conjugate(rd, list(w)) == tuple_dominant_conjugate(rd, w)
 
 
 @given(st.tuples(st.integers(-30, 30), st.integers(-30, 30)))
