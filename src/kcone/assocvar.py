@@ -66,21 +66,24 @@ def express_in_geometric_basis(
     the coordinates are not integers.  Raises ValueError if a support weight
     has the wrong length or is not dominant, which no bound can help.  The
     certified vectors are eliminated once per basis, on its first query
-    (GeometricBasis.certified_factorization); the weight, bound, span and
-    integrality checks run on every call.  A weight that some certified
-    vector carries is within the bound, since certification tests every
-    support weight against it, so only the other weights pay int_norm.
+    (GeometricBasis.certified_factorization), which keys them by their
+    weights and stores the coordinates of each weight's unit class, so a
+    query is one sparse integer sum over kc's support (Factorization.solve
+    has the proof that the sum, with its residual, is exact).  The weight,
+    bound, span and integrality checks run on every call, in that order.
+    A weight that some certified vector carries is within the bound, since
+    certification tests every support weight against it, so only the other
+    weights pay int_norm.
     """
     try:
         certified, factorization = basis.certified_factorization
     except ValueError:  # reported after the weight checks, which come first
         certified, factorization = (), None
-    row = kc.as_row()  # keyed in coeffs order
     bound = None
-    for (w, _), key in zip(kc.coeffs, row):
+    for w, _ in kc.coeffs:
         if len(w) != rd.rank or min(w) < 0:
             raise ValueError(f"class support {w} lies outside the dominant chamber")
-        if factorization is None or not factorization.carries(key):
+        if factorization is None or not factorization.carries(w):
             if bound is None:
                 bound = int_norm_bound(rd, basis.bound_sq)
             if int_norm(rd, w) > bound:
@@ -92,33 +95,30 @@ def express_in_geometric_basis(
         raise InternalConsistencyError(
             "certified basis vectors are linearly dependent in the window"
         )
-    solved = factorization.solve(row)
+    solved = factorization.solve(dict(kc.coeffs))
     if solved is None:
         raise BoundTooSmallError(
             "class is not in the certified span at this bound; recompute "
             "the basis with a larger bound"
         )
     numerators, denominator = solved
-    coords: dict[GeometricBasisVector, int] = {}
-    for j, x in numerators.items():  # nonzero, in certified order
-        v = certified[j]
-        if x % denominator:
-            raise InternalConsistencyError(
-                f"expansion coordinate {Fraction(x, denominator)} on orbit "
-                f"{v.orbit_id} vector {v.index} is not an integer"
-            )
-        coords[v] = x // denominator
-    return coords
+    if denominator != 1:
+        for j, x in numerators.items():  # nonzero, in certified order
+            if x % denominator:
+                v = certified[j]
+                raise InternalConsistencyError(
+                    f"expansion coordinate {Fraction(x, denominator)} on orbit "
+                    f"{v.orbit_id} vector {v.index} is not an integer"
+                )
+    return {certified[j]: x // denominator for j, x in numerators.items()}
 
 
 def associated_cycle(
     coords: dict[GeometricBasisVector, int], poset: ClosurePoset
 ) -> AssociatedCycle:
     """Maximal support orbits with rank-weighted multiplicities."""
-    support = sorted({v.orbit_id for v in coords})
-    maximal = poset.maximal(support)
-    components = []
-    for z in maximal:
-        mult = sum(n * v.rank for v, n in coords.items() if v.orbit_id == z)
-        components.append((z, mult))
-    return AssociatedCycle(tuple(components), tuple(maximal))
+    mult: dict[int, int] = {}
+    for v, n in coords.items():
+        mult[v.orbit_id] = mult.get(v.orbit_id, 0) + n * v.rank
+    maximal = poset.maximal(mult)
+    return AssociatedCycle(tuple((z, mult[z]) for z in maximal), tuple(maximal))

@@ -14,10 +14,10 @@ Levi dimension of phi.  Skyscrapers at the origin are the special case
 where the Levi is the whole group and Delta(g[1]) is empty.
 
 A class is its own sparse row: as_dict() maps each support weight to its
-nonzero coefficient (as_row() keys it for kcone.linalg), so no coordinate
-axis of the weight window is ever enumerated.  The integer lattice the
-classes span is split by Hermite reduction (unimodular row operations only)
-over the weights the classes carry; rational work on the same rows uses
+nonzero coefficient, a row for kcone.linalg, so no coordinate axis of the
+weight window is ever enumerated.  The integer lattice the classes span is
+split by Hermite reduction (unimodular row operations only) over the
+weights the classes carry; rational work on the same rows uses
 kcone.linalg.
 """
 
@@ -91,16 +91,6 @@ class KClass:
 
     def as_dict(self) -> dict[Weight, int]:
         return dict(self.coeffs)
-
-    def as_row(self) -> dict[Weight, int]:
-        """The class as a kcone.linalg row, keyed by negated weights.
-
-        A row pivots at its smallest key, here the class's lexicographically
-        largest weight.  Classes differ most in their largest weights and
-        share their small-weight tails, so this order needs far fewer
-        eliminations than keying by the weights themselves.
-        """
-        return {tuple(-x for x in w): c for w, c in self.coeffs}
 
     def is_zero(self) -> bool:
         return not self.coeffs

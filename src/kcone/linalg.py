@@ -1,7 +1,7 @@
 """Exact linear algebra over the rationals by fraction-free integer elimination.
 
-A row is a sparse dict from mutually comparable keys to nonzero ints;
-KClass.as_row() gives one per K-theory class.  IntEchelon keeps its rows
+A row is a sparse dict from mutually comparable keys to nonzero ints; a
+K-theory class's as_dict() is one.  IntEchelon keeps its rows
 back-substituted, each zero at the pivot of every other, so reducing a row
 is one pass over the pivots the row carries.  Each echelon fixes its pivot
 rule when it is built: a new row pivots at its smallest key, or, with
@@ -9,11 +9,12 @@ fewest_holders, at the key that the fewest stored rows carry (the rule of
 Markowitz, Management Science 3, 1957), ties going to the smallest key.
 Elimination cross-multiplies (no division) and divides every new row by
 the gcd of its entries, so entries stay small and no Fraction is ever
-formed.  Factorization solves linear systems: it keys a system's columns
-by ints in blocks whose order puts every pivot in the class block, keeps
-them in one smallest-key IntEchelon, and so solves a target by one
-reduce.  The Hermite reduction over the integers, which needs
-unimodular steps, lives in ktheory.hnf_certified_split.
+formed.  Factorization solves linear systems: it eliminates a system's
+columns once in a smallest-key IntEchelon, keyed by ints in blocks whose
+order puts every pivot in the class block, reads each key's unit-target
+solution off the stored rows, and so solves a target by one sparse sum.
+The Hermite reduction over the integers, which needs unimodular steps,
+lives in ktheory.hnf_certified_split.
 """
 
 from __future__ import annotations
@@ -163,80 +164,108 @@ class Factorization:
     """The columns of a linear system, eliminated once; solve answers one target.
 
     solve(target) gives the exact x with sum_j x_j * column_j == target.
-    Construction maps the keys to ints in three blocks: the class block,
-    the sorted union of the column keys, to 0..n-1; the unit block, column
-    j's unit key, to n + j; and the marker, n + k.  Column j becomes the
-    row with its entries in the class block and 1 at n + j, and every
-    column row goes into one smallest-key IntEchelon, whose rows come
-    back-substituted: each is zero at every other pivot.  solve is then
-    one IntEchelon.reduce of the target.
+    Construction numbers the class block, the union of the column keys, in
+    descending order 0..n-1 (so a column pivots at its largest key: classes
+    differ most in their largest weights and share their small-weight
+    tails, which makes this order need far fewer eliminations), and gives
+    column j's unit key n + j.  Each column becomes the row (c_j | e_j),
+    and the rows go into one smallest-key IntEchelon, which keeps each
+    stored row zero at every other pivot.
 
     Where the pivots fall.  The reduced row of column j is s * row_j minus
     a combination of the rows stored before it, with s != 0, so its class
     block is s * c_j minus a combination of the earlier columns: zero
-    exactly when c_j lies in their span.  A row pivots at its smallest
-    key, and every class key is smaller than every unit key, so a column
-    independent of the earlier ones pivots in the class block, and a
-    dependent one in the unit block; later updates move no pivot.  Hence
-    the columns are independent exactly when all k pivots lie in the
-    class block, which construction checks.  Then neither the unit block
-    nor the marker holds a pivot, and solve reads the answer off them.
+    exactly when c_j lies in their span.  Every class key is smaller than
+    every unit key, so a column independent of the earlier ones pivots in
+    the class block, and a dependent one in the unit block; later updates
+    move no pivot.  So the columns are independent exactly when all k
+    pivots lie in the class block, which construction checks.
 
-    solve reads the stored rows and never writes them, and the object has
-    no other state, so every call sees the rows as construction left them
-    and the answer does not depend on the targets answered before.
+    Columns.  Reduction over the stored rows is the linear map R(t) = t -
+    sum_q t[q] / rho_q[q] * rho_q over the pivots q, each rho_q being zero
+    at every other pivot, so R(t) = sum_w t_w * R(e_w).  For a pivot w
+    with row rho, R(e_w) is -rho[q] / rho[w] at each non-pivot class key
+    q (its residual) and -rho[n + j] / rho[w] at unit key n + j; for a
+    non-pivot w, R(e_w) = e_w.  (t | 0) - R(t) lies in the span of the
+    rows (c_j | e_j), so R(t) = (t - sum_j z_j * c_j | -z) for some z,
+    and x = z when the class block of R(t) is zero.  If t = sum_j y_j *
+    c_j, then R(t) - (0 | -y) lies in the span and is zero at every pivot,
+    hence 0, so an in-span target leaves a zero class block.  Each key w
+    thus stores x(e_w) = rho[n + j] / rho[w] as unit pairs, its residual
+    pairs and the positive scale |rho[w]|, and the echelon is dropped.
+    Independent columns make x unique; solve returns it in lowest terms.
+    The residual keeps solve exact with more keys than columns: with the
+    column {a: 1, b: -1}, {a: 2, b: -2} has x = (2), although neither
+    unit target lies in the span.  solve never writes the stored columns,
+    so no answer depends on the targets answered before.
     """
 
     def __init__(self, columns: Sequence[Mapping]) -> None:
         """Raises ValueError when the columns are linearly dependent."""
-        keys = sorted({w for col in columns for w, x in col.items() if x})
+        keys = sorted({w for col in columns for w, x in col.items() if x}, reverse=True)
         n, k = len(keys), len(columns)
-        self._index = {w: i for i, w in enumerate(keys)}
-        self._n, self._k = n, k
-        self._echelon = IntEchelon()
+        index = {w: i for i, w in enumerate(keys)}
+        echelon = IntEchelon()
         for j, col in enumerate(columns):
-            row = {self._index[w]: x for w, x in col.items() if x}
+            row = {index[w]: x for w, x in col.items() if x}
             row[n + j] = 1
-            self._echelon.add(row)
-        if sum(1 for p in self._echelon._by_pivot if p < n) < k:
+            echelon.add(row)
+        rows = echelon._by_pivot
+        if sum(1 for p in rows if p < n) < k:
             raise ValueError("columns are linearly dependent")
+        self._columns: dict[Hashable, tuple] = {}
+        for w, i in index.items():
+            rho = rows.get(i)
+            if rho is None:  # not a pivot: R(e_w) = e_w
+                self._columns[w] = ((), ((i, 1),), 1)
+            else:
+                sign = 1 if rho[i] > 0 else -1
+                units = tuple((q - n, sign * x) for q, x in rho.items() if q >= n)
+                residual = tuple((q, -sign * x) for q, x in rho.items() if q < n and q != i)
+                self._columns[w] = (units, residual, sign * rho[i])
 
     def carries(self, key: Hashable) -> bool:
         """Whether some column has a nonzero entry at key."""
-        return key in self._index
+        return key in self._columns
 
     def solve(self, target: Mapping) -> Optional[tuple[dict[int, int], int]]:
         """The nonzero numerators of x, as ({column index: numerator}, denominator).
 
         None when target is outside the span of the columns.  The
         denominator is positive and shares no factor with all numerators
-        at once.  The target becomes the row with its entries in the class
-        block and 1 at the marker n + k.  A nonzero entry at a key no
-        column carries gives None at once: no stored row carries that key,
-        so no reduction can clear it.  Otherwise reduce gives r = s *
-        target - sum_j x_j * column_j with s > 0, zero at every pivot,
-        divided by the positive gcd of its entries, so its marker entry is
-        positive (column rows have none).  When the target is sum_j y_j *
-        column_j, the row (0 | -y | 1) differs from the target row by a
-        combination of column rows, so r - s' * (0 | -y | 1), for s' the
-        marker entry of r, lies in the span of the stored rows.  It is
-        zero at every pivot, all of which lie in the class block, hence 0:
-        the unit block of r holds -s' * y.  When the target is outside the
-        span no such y exists, and the class block of r is nonzero.  The
-        numerators come in increasing column index.
+        at once; the numerators come in increasing column index.  A nonzero
+        entry at a key no column carries gives None at once.  Otherwise x
+        is sum_w t_w * x(e_w), summed with the residuals over the lcm of
+        the scales met, and a nonzero summed residual gives None.  For a
+        square unimodular system every scale is 1 and every residual is
+        empty, so the sum only adds ints.
         """
-        index, n, k = self._index, self._n, self._k
-        row = {}
-        for w, x in target.items():
-            if x:
-                i = index.get(w)
-                if i is None:
-                    return None
-                row[i] = x
-        row[n + k] = 1
-        red = self._echelon.reduce(row)
-        if any(q < n for q in red):
+        columns = self._columns
+        den = 1
+        units: dict[int, int] = {}
+        residual: dict[int, int] = {}
+        for w, t in target.items():
+            if not t:
+                continue
+            column = columns.get(w)
+            if column is None:
+                return None
+            pairs, rest, scale = column
+            if scale != den:
+                if den % scale:
+                    m = scale // math.gcd(den, scale)
+                    den *= m
+                    units = {j: m * x for j, x in units.items()}
+                    residual = {q: m * x for q, x in residual.items()}
+                t *= den // scale
+            for j, x in pairs:
+                units[j] = units.get(j, 0) + t * x
+            for q, x in rest:
+                residual[q] = residual.get(q, 0) + t * x
+        if any(residual.values()):
             return None
-        marker = red.pop(n + k)
-        return {q - n: -x for q, x in sorted(red.items())}, marker
-
+        numerators = {j: x for j, x in sorted(units.items()) if x}
+        g = math.gcd(den, *numerators.values())
+        if g != 1:
+            numerators = {j: x // g for j, x in numerators.items()}
+        return numerators, den // g

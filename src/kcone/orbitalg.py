@@ -124,14 +124,14 @@ class GeometricBasis:
         """The certified vectors, in certified_vectors() order, and their Factorization.
 
         Built on the first read and kept: the basis cannot change, and
-        Factorization.solve never writes its rows, so every read gives what
+        Factorization.solve never writes its columns, so every read gives what
         a fresh build would.  Raises ValueError if the certified vectors are
         dependent; an exception is not cached, so every read raises again.
         cached_property builds under a lock on Python 3.10 and 3.11; on 3.12
         and later two threads may both build it, which only costs time.
         """
         certified = tuple(self.certified_vectors())
-        return certified, Factorization([v.kclass.as_row() for v in certified])
+        return certified, Factorization([v.kclass.as_dict() for v in certified])
 
     def certified_vectors(self) -> list[GeometricBasisVector]:
         out = []

@@ -193,6 +193,16 @@ class ScanIntEchelon:
         return True
 
 
+def as_row(kc):
+    """The class as a kcone.linalg row, keyed by negated weights.
+
+    A smallest-key IntEchelon then pivots each row at its class's
+    lexicographically largest weight, the order in which Factorization
+    numbers plain weight keys.
+    """
+    return {tuple(-x for x in w): c for w, c in kc.coeffs}
+
+
 def listed(answer, k):
     """A Factorization.solve answer with a numerator for each of the k columns."""
     if answer is None:
@@ -213,11 +223,13 @@ def tuple_key_solve(columns, target):
     """Factorization(columns).solve(target) by one IntEchelon.reduce over tuple keys.
 
     Column j is the row c_j[w] at (0, w) and 1 at (1, j), the target is
-    t[w] at (0, w) and 1 at the marker (2,): the blocks of Factorization,
-    keyed by tuples in the same order instead of by ints.  The target is
-    reduced over the stored pivots and read off its unit block.  Returns
-    (numerators, denominator) with a numerator for every column, or None,
-    and raises ValueError on dependent columns, as Factorization does.
+    t[w] at (0, w) and 1 at a marker (2,): the class and unit blocks of
+    Factorization, keyed by tuples with the class block ascending.  The
+    target is reduced over the stored pivots and read off its unit block,
+    with no precomputed columns; the answer is unique, so neither route
+    nor key order can change it.  Returns (numerators, denominator) with
+    a numerator for every column, or None, and raises ValueError on
+    dependent columns, as Factorization does.
     """
     from kcone.linalg import IntEchelon
 

@@ -28,7 +28,7 @@ from kcone import (
 from kcone import assocvar
 from kcone.linalg import IntEchelon
 
-from helpers import fresh_solve, solve_fractions, weyl_orbit
+from helpers import as_row, fresh_solve, solve_fractions, weyl_orbit
 
 
 def trivial_module_a1():
@@ -211,6 +211,18 @@ def test_residual_raises_bound_error(basis_cache, a1):
         express_in_geometric_basis(a1, gamma_class(a1, (0,)), crippled(basis_cache("A1", 16)))
 
 
+def test_in_span_class_with_units_out_of_span(basis_cache, a1):
+    # without the regular stratum, 4 certified vectors cover 6 weights; the
+    # skyscraper at 0 is the zero orbit's first vector, so it lies in the
+    # span, though the unit classes of its support, such as the gamma class
+    # of 0, do not
+    basis = crippled(basis_cache("A1", 16))
+    coords = express_in_geometric_basis(a1, skyscraper_class(a1, (0,)), basis)
+    assert {(v.orbit_id, v.index): n for v, n in coords.items()} == {(0, 0): 1}
+    with pytest.raises(BoundTooSmallError, match="not in the certified span"):
+        express_in_geometric_basis(a1, gamma_class(a1, (0,)), basis)
+
+
 def test_dependent_certified_vectors_detected(basis_cache, a1):
     with pytest.raises(InternalConsistencyError, match="dependent"):
         express_in_geometric_basis(a1, gamma_class(a1, (0,)), doubled(basis_cache("A1", 16)))
@@ -291,7 +303,7 @@ def interleaved_queries(draw):
 
 def fresh_coords(certified, kc):
     """Coordinates from a fresh Factorization of the certified rows."""
-    numerators, denominator = fresh_solve([v.kclass.as_row() for v in certified], kc.as_row())
+    numerators, denominator = fresh_solve([as_row(v.kclass) for v in certified], as_row(kc))
     assert all(x % denominator == 0 for x in numerators)
     return {v: x // denominator for v, x in zip(certified, numerators) if x}
 

@@ -17,6 +17,7 @@ from kcone.linalg import Factorization, IntEchelon, _normalize_row
 from kcone.repcalc import _root_coefficients
 
 from helpers import (
+    as_row,
     ScanIntEchelon,
     cartan_inverse_fractions,
     flatten_kclass,
@@ -243,6 +244,21 @@ def test_solve_examples():
     assert fresh_solve(columns, {(1, 0): 2, (0, 2): 1}) == ([6, 1], 3)
 
 
+def test_solve_in_span_target_whose_unit_targets_are_not():
+    # more keys than columns: each unit target leaves a residual, and the
+    # residuals of an in-span target cancel
+    factorization = Factorization([{"a": 1, "b": -1}])
+    assert factorization.solve({"a": 2, "b": -2}) == ({0: 2}, 1)
+    assert factorization.solve({"a": 1}) is None
+    assert factorization.solve({"b": 1}) is None
+    # a residual met after a scale > 1 is summed over the common denominator
+    factorization = Factorization([{"a": 2, "b": 1, "c": 1}, {"a": 1, "b": 3}])
+    assert factorization.solve({"a": 1, "b": 3}) == ({1: 1}, 1)
+    assert factorization.solve({"c": 1, "b": 1, "a": 2}) == ({0: 1}, 1)
+    assert factorization.solve({"c": 2, "a": 3, "b": -1}) == ({0: 2, 1: -1}, 1)
+    assert factorization.solve({"c": 1}) is None
+
+
 def seeded_target(rng, columns, m):
     """A dense target: usually a scaled rational combination of the columns."""
     if columns and rng.random() < 0.6:
@@ -281,7 +297,13 @@ def test_solve_matches_fraction_reference():
     rng = random.Random(20261019)
     seen = set()
     for columns, target, keys, sparse_columns, sparse_target in seeded_systems():
-        seen.add(assert_matches_reference(columns, target))
+        outcome = assert_matches_reference(columns, target)
+        seen.add(outcome)
+        units = [[int(i == q) for i in range(len(target))] for q, x in enumerate(target) if x]
+        if outcome in ("integer", "non-integer") and any(
+            solve_fractions(columns, e) is None for e in units
+        ):
+            seen.add("in span, a unit of its support out of span")
         seen.add(assert_matches_reference(columns, target, keys, sparse_columns, sparse_target))
         if 0 in sparse_target.values():
             seen.add("explicit zero")
@@ -294,6 +316,7 @@ def test_solve_matches_fraction_reference():
         seen.add(f"{outcome}, outside key {'nonzero' if extra else 'zero'}")
     assert seen == {
         "integer", "non-integer", "out of span", "dependent", "explicit zero",
+        "in span, a unit of its support out of span",
         "integer, outside key zero", "non-integer, outside key zero",
         "out of span, outside key zero", "out of span, outside key nonzero",
         "dependent, outside key zero", "dependent, outside key nonzero",
@@ -310,7 +333,7 @@ def test_factorization_answers_every_target_as_a_fresh_solve():
             seen.add("dependent")
             continue
         factorization = Factorization(sparse_columns)
-        stored = copy.deepcopy(factorization._echelon._by_pivot)
+        stored = copy.deepcopy(factorization._columns)
         targets = [sparse_target] + [
             sparse(seeded_target(rng, columns, len(keys)), keys, rng) for _ in range(4)
         ]
@@ -319,7 +342,7 @@ def test_factorization_answers_every_target_as_a_fresh_solve():
             answer = listed(factorization.solve(t), len(columns))
             assert answer == fresh_solve(sparse_columns, t)
             seen.add("out of span" if answer is None else "solved")
-        assert factorization._echelon._by_pivot == stored
+        assert factorization._columns == stored
     assert seen == {"solved", "out of span", "dependent"}
 
 
@@ -340,10 +363,10 @@ def seeded_a2_class(rng, rd, bound):
 @pytest.mark.parametrize("bound", [50, 200])
 def test_factorization_matches_references_on_certified_sets(basis_cache, bound):
     rd = build_root_datum("A2")
-    columns = [v.kclass.as_row() for v in basis_cache("A2", bound).certified_vectors()]
+    columns = [as_row(v.kclass) for v in basis_cache("A2", bound).certified_vectors()]
     factorization = Factorization(columns)
     rng = random.Random(bound)
-    targets = [seeded_a2_class(rng, rd, bound).as_row() for _ in range(6)]
+    targets = [as_row(seeded_a2_class(rng, rd, bound)) for _ in range(6)]
     # a weight far outside the window, alone and added to an in-span class
     far = (-40, -40)
     targets += [{far: 1}, {**targets[0], far: -2}]

@@ -26,6 +26,7 @@ from kcone.orbitalg import orbital_basis, spanning_set
 from kcone.repcalc import _root_coefficients
 
 from helpers import (
+    as_row,
     flatten_kclass,
     norm_sq_fractions,
     pushforward_reference,
@@ -152,6 +153,20 @@ def test_certified_counts_match_window_dimension(basis_cache):
         assert len(certified) == len(cosets) == regular, label
 
 
+def test_certified_lattice_is_unimodular(basis_cache):
+    # the certified factorization is square, one class key per certified
+    # vector, and every unit class has integer coordinates: the lattice the
+    # certified vectors span is all of Z[X+] within the window
+    for label, bound, total, _ in COUNT_CASES:
+        basis = basis_cache(label, bound)
+        certified, factorization = basis.certified_factorization
+        keys = {w for v in certified for w, _ in v.kclass.coeffs}
+        assert len(keys) == len(certified) == total, label
+        for w in keys:
+            assert factorization.carries(w)
+            assert factorization.solve({w: 1})[1] == 1, (label, w)
+
+
 def test_certified_supports_within_bound(basis_cache):
     for label, bound in [("A2", 18), ("B2", 16)]:
         rd = build_root_datum(label)
@@ -212,11 +227,11 @@ def test_boundary_kernel_a1(basis_cache):
     basis = basis_cache("A1", 16)
     ech = IntEchelon()
     for v in basis.strata[0]:
-        ech.add(v.kclass.as_row())
+        ech.add(as_row(v.kclass))
     from kcone import skyscraper_class
 
     for n in range(8):
-        assert not ech.add(skyscraper_class(rd, (n,)).as_row())
+        assert not ech.add(as_row(skyscraper_class(rd, (n,))))
 
 
 def counting_enumeration(monkeypatch):
