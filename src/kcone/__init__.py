@@ -39,7 +39,6 @@ from .orbitalg import (
     norm_constant,
 )
 from .repcalc import (
-    MultiplicityVector,
     restrict_gamma_class,
     restrict_kclass,
     weight_multiplicity,
@@ -71,7 +70,6 @@ __all__ = [
     "GradingData",
     "InternalConsistencyError",
     "KClass",
-    "MultiplicityVector",
     "NilpotentOrbit",
     "OrbitTableUnavailableError",
     "RootDatum",

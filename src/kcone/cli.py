@@ -5,13 +5,14 @@ deterministic: weights are serialized as integer lists in a fixed order and
 rational bounds as exact "p/q" strings, so repeated runs are byte-identical.
 --parallelism is accepted for compatibility and has no effect.
 
-Exit codes: 0 success, 2 argument/parse errors (including unknown types,
-missing orbit tables and malformed module files), 3 resource-cap errors
-(including windows too large to enumerate), 4 bound-too-small errors, 141
-when the reader of stdout closed it early (as in `kcone basis ... | head`):
-no error line is printed, stdout is pointed at os.devnull so the
-shutdown stays silent, and 141 is what a shell reports for a process that
-SIGPIPE ended.
+Exit codes: 0 success, 1 an internal fault (with a traceback) or a failed
+selftest check, 2 argument/parse errors (including unknown types, missing
+orbit tables and malformed module files, whose message names the bad
+field), 3 resource-cap errors (including windows too large to enumerate), 4
+bound-too-small errors, 141 when the reader of stdout closed it early (as
+in `kcone basis ... | head`): no error line is printed, stdout is pointed
+at os.devnull so the shutdown stays silent, and 141 is what a shell
+reports for a process that SIGPIPE ended.
 """
 
 from __future__ import annotations
@@ -20,7 +21,6 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii
 from typing import Optional, Sequence
@@ -51,14 +51,6 @@ EXIT_USAGE = 2
 EXIT_RESOURCE = 3
 EXIT_BOUND = 4
 EXIT_BROKEN_PIPE = 141
-
-
-@dataclass
-class RunConfig:
-    type_label: str
-    bound_sq: Fraction = Fraction(0)
-    orbit: Optional[int] = None
-    format: str = "json"
 
 
 def _fraction_arg(raw: str) -> Fraction:
@@ -108,8 +100,8 @@ def _emit(payload, fmt: str, text_lines) -> None:
             print(line)
 
 
-def cmd_orbits(cfg: RunConfig) -> int:
-    rd = build_root_datum(cfg.type_label)
+def cmd_orbits(args: argparse.Namespace) -> int:
+    rd = build_root_datum(args.type)
     orbits = classify_orbits(rd)
     poset = closure_poset(rd, orbits)
     payload = [
@@ -124,14 +116,14 @@ def cmd_orbits(cfg: RunConfig) -> int:
     ]
 
     def text_lines():
-        yield f"nilpotent orbits of {cfg.type_label}"
+        yield f"nilpotent orbits of {args.type}"
         yield f"{'id':>3} {'label':<14} {'marks':<16} {'dim':>4}  covers"
         for rec in payload:
             marks = ",".join(str(m) for m in rec["dynkin_marks"])
             covers = ",".join(str(c) for c in rec["covers"]) or "-"
             yield f"{rec['id']:>3} {rec['label']:<14} {marks:<16} {rec['dimension']:>4}  {covers}"
 
-    _emit(payload, cfg.format, text_lines)
+    _emit(payload, args.format, text_lines)
     return EXIT_OK
 
 
@@ -234,14 +226,14 @@ def _shown_orbits(basis: GeometricBasis, orbit_filter: Optional[int]):
     return [o for o in basis.orbits if orbit_filter is None or o.id == orbit_filter]
 
 
-def cmd_basis(cfg: RunConfig) -> int:
-    rd = build_root_datum(cfg.type_label)
-    if cfg.orbit is not None and not any(o.id == cfg.orbit for o in classify_orbits(rd)):
-        print(f"error: no orbit with id {cfg.orbit} in {cfg.type_label}", file=sys.stderr)
+def cmd_basis(args: argparse.Namespace) -> int:
+    rd = build_root_datum(args.type)
+    if args.orbit is not None and not any(o.id == args.orbit for o in classify_orbits(rd)):
+        print(f"error: no orbit with id {args.orbit} in {args.type}", file=sys.stderr)
         return EXIT_USAGE
-    basis = full_basis(rd, cfg.bound_sq)
-    write = _write_basis_json if cfg.format == "json" else _write_basis_text
-    write(basis, cfg.orbit, sys.stdout.write)
+    basis = full_basis(rd, args.bound_sq)
+    write = _write_basis_json if args.format == "json" else _write_basis_text
+    write(basis, args.orbit, sys.stdout.write)
     return EXIT_OK
 
 
@@ -263,38 +255,54 @@ def _weight_field(raw, rank: int) -> tuple[int, ...]:
     return tuple(raw)
 
 
+def _shaped(x, kind: type, what: str):
+    """x if it is a JSON object (kind dict) or list (kind list), else a ValueError naming what."""
+    if not isinstance(x, kind):
+        raise ValueError(f"{what} must be a JSON {'object' if kind is dict else 'list'}")
+    return x
+
+
+def _member(obj: dict, key: str, what: str):
+    if key not in obj:
+        raise ValueError(f'{what} has no "{key}" key')
+    return obj[key]
+
+
 def _parse_module_file(path: str, rank: int) -> VirtualModule:
+    """The virtual module in the file at path; every shape fault is a ValueError naming its field."""
     with open(path, "r", encoding="utf-8") as fh:
-        data = json.load(fh)
-    if not isinstance(data, dict):
-        raise ValueError("module file must contain a JSON object")
+        data = _shaped(json.load(fh), dict, "a module file")
     if "standards" in data:
+        where = 'a "standards" entry'
         terms = []
-        for entry in data["standards"]:
-            coef = _int_field(entry["coef"], "coefficient")
-            lam_l = _weight_field(entry["lambda_l"], rank)
-            lam_r = _weight_field(entry["lambda_r"], rank)
+        for entry in _shaped(data["standards"], list, '"standards"'):
+            _shaped(entry, dict, where)
+            coef = _int_field(_member(entry, "coef", where), "coefficient")
+            lam_l = _weight_field(_member(entry, "lambda_l", where), rank)
+            lam_r = _weight_field(_member(entry, "lambda_r", where), rank)
             if coef:
                 terms.append((coef, lam_l, lam_r))
         return VirtualModule(terms=tuple(terms))
     if "kclass" in data:
-        raw = data["kclass"]
-        coeffs = tuple(
-            (_weight_field(item["weight"], rank), _int_field(item["coef"], "coefficient"))
-            for item in raw["coeffs"]
-        )
+        raw = _shaped(data["kclass"], dict, '"kclass"')
+        where = 'a "coeffs" entry'
+        coeffs = []
+        for item in _shaped(_member(raw, "coeffs", '"kclass"'), list, '"coeffs"'):
+            _shaped(item, dict, where)
+            weight = _weight_field(_member(item, "weight", where), rank)
+            coeffs.append((weight, _int_field(_member(item, "coef", where), "coefficient")))
         rank_field = raw.get("rank")
         if rank_field is not None:
             _int_field(rank_field, "rank")
-        return VirtualModule(kclass=KClass(coeffs, rank_field))
+        return VirtualModule(kclass=KClass(tuple(coeffs), rank_field))
     raise ValueError('module file needs a "standards" or "kclass" key')
 
 
-def cmd_acycle(cfg: RunConfig, module_path: str) -> int:
-    rd = build_root_datum(cfg.type_label)
-    vm = _parse_module_file(module_path, rd.rank)
+def cmd_acycle(args: argparse.Namespace) -> int:
+    rd = build_root_datum(args.type)
+    vm = _parse_module_file(args.module, rd.rank)
     kc = module_to_kclass(rd, vm)
-    basis = full_basis(rd, cfg.bound_sq)
+    basis = full_basis(rd, args.bound_sq)
     coords = express_in_geometric_basis(rd, kc, basis)
     cycle = associated_cycle(coords, basis.poset)
     labels = {o.id: o.label for o in basis.orbits}
@@ -312,33 +320,34 @@ def cmd_acycle(cfg: RunConfig, module_path: str) -> int:
         for oid, mult in cycle.components:
             yield f"orbit {oid} ({labels[oid]}): multiplicity {mult}"
 
-    _emit(payload, cfg.format, text_lines)
+    _emit(payload, args.format, text_lines)
     return EXIT_OK
 
 
-def cmd_pushforward(cfg: RunConfig, phi: tuple[int, ...]) -> int:
-    rd = build_root_datum(cfg.type_label)
+def cmd_pushforward(args: argparse.Namespace) -> int:
+    rd = build_root_datum(args.type)
     orbits = classify_orbits(rd)
-    if cfg.orbit is None or not any(o.id == cfg.orbit for o in orbits):
-        print(f"error: --orbit must name an orbit id of {cfg.type_label}", file=sys.stderr)
+    if not any(o.id == args.orbit for o in orbits):
+        print(f"error: --orbit must name an orbit id of {args.type}", file=sys.stderr)
         return EXIT_USAGE
-    gd = grading_data(rd, orbits[cfg.orbit])
-    kc = pushforward(rd, pushforward_kernel(rd, gd), phi)
+    gd = grading_data(rd, orbits[args.orbit])
+    kc = pushforward(rd, pushforward_kernel(rd, gd), args.phi)
     payload = {
-        "type": cfg.type_label,
-        "orbit": cfg.orbit,
-        "phi": list(phi),
+        "type": args.type,
+        "orbit": args.orbit,
+        "phi": list(args.phi),
         "kclass": _kclass_json(kc),
     }
 
     def text_lines():
-        yield f"pushforward of {list(phi)} on orbit {cfg.orbit}: rank {kc.rank}: {_terms_text(kc)}"
+        yield (f"pushforward of {list(args.phi)} on orbit {args.orbit}: "
+               f"rank {kc.rank}: {_terms_text(kc)}")
 
-    _emit(payload, cfg.format, text_lines)
+    _emit(payload, args.format, text_lines)
     return EXIT_OK
 
 
-def cmd_selftest() -> int:
+def cmd_selftest(args: argparse.Namespace) -> int:
     failures = []
 
     def check(name: str, fn) -> None:
@@ -365,7 +374,7 @@ def cmd_selftest() -> int:
 
     def restriction_oracle():
         rd = build_root_datum("A1")
-        assert restrict_gamma_class(rd, (0,), 16).entries == {(0,): 1, (2,): 1, (4,): 1}
+        assert restrict_gamma_class(rd, (0,), 16) == {(0,): 1, (2,): 1, (4,): 1}
         assert restrict_kclass(rd, skyscraper_class(rd, (1,)), 20) == {(1,): 1}
 
     def subregular_pushforward():
@@ -420,17 +429,21 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_orbits = sub.add_parser("orbits", help="classify nilpotent orbits")
     add_common(p_orbits)
+    p_orbits.set_defaults(run=cmd_orbits)
 
     p_basis = sub.add_parser("basis", help="compute the geometric basis")
     add_common(p_basis, bound=True)
+    p_basis.set_defaults(run=cmd_basis)
     p_basis.add_argument("--orbit", type=int, default=None, help="restrict output to one orbit id")
 
     p_acycle = sub.add_parser("acycle", help="associated cycle of a virtual module")
     add_common(p_acycle, bound=True)
+    p_acycle.set_defaults(run=cmd_acycle)
     p_acycle.add_argument("--module", required=True, help="JSON module file")
 
     p_push = sub.add_parser("pushforward", help="pushforward of one Levi weight")
     add_common(p_push)
+    p_push.set_defaults(run=cmd_pushforward)
     p_push.add_argument("--orbit", type=int, required=True, help="orbit id")
     p_push.add_argument(
         "--phi",
@@ -439,7 +452,7 @@ def _build_parser() -> argparse.ArgumentParser:
         help="Levi weight, e.g. 1,0; write a negative first entry as --phi=-1,0",
     )
 
-    sub.add_parser("selftest", help="run built-in consistency checks")
+    sub.add_parser("selftest", help="run built-in consistency checks").set_defaults(run=cmd_selftest)
     return parser
 
 
@@ -454,30 +467,10 @@ def _stdout_to_devnull() -> None:
         devnull.close()
 
 
-def _run(args: argparse.Namespace) -> int:
-    if args.command == "selftest":
-        return cmd_selftest()
-    cfg = RunConfig(
-        type_label=args.type,
-        bound_sq=getattr(args, "bound_sq", Fraction(0)),
-        orbit=getattr(args, "orbit", None),
-        format=args.format,
-    )
-    if args.command == "orbits":
-        return cmd_orbits(cfg)
-    if args.command == "basis":
-        return cmd_basis(cfg)
-    if args.command == "acycle":
-        return cmd_acycle(cfg, args.module)
-    if args.command == "pushforward":
-        return cmd_pushforward(cfg, args.phi)
-    raise AssertionError(f"unhandled command {args.command}")
-
-
 def main(argv: Optional[Sequence[str]] = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        code = _run(args)
+        code = args.run(args)
         sys.stdout.flush()  # a reader that left before the last bytes shows here
     except BrokenPipeError:
         _stdout_to_devnull()
@@ -494,7 +487,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except MemoryError:
         print("error: out of memory; try a smaller bound", file=sys.stderr)
         return EXIT_RESOURCE
-    except (ValueError, KeyError, TypeError, OSError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     return code

@@ -92,9 +92,6 @@ class KClass:
     def as_dict(self) -> dict[Weight, int]:
         return dict(self.coeffs)
 
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
     def support(self) -> tuple[Weight, ...]:
         return tuple(w for w, _ in self.coeffs)
 
@@ -269,7 +266,6 @@ class WeightIndex:
 
 
 def pushforward_classes(
-    rd: RootDatum,
     kernel: PushforwardKernel,
     index: WeightIndex,
     phis: Sequence[Weight],
@@ -337,7 +333,7 @@ def pushforward(rd: RootDatum, kernel: PushforwardKernel, phi: Sequence[int]) ->
                 f"{phi} is not dominant for the Levi {list(kernel.levi_simple)} of {kernel.where}"
             )
     index = WeightIndex.around(rd, [phi], [kernel])
-    [(_, pairs, rank)] = pushforward_classes(rd, kernel, index, [phi], [index.code(phi)])
+    [(_, pairs, rank)] = pushforward_classes(kernel, index, [phi], [index.code(phi)])
     return KClass(tuple(sorted((index.weights[i], c) for i, c in pairs)), rank)
 
 

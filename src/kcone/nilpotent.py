@@ -47,7 +47,6 @@ class GradingData:
     """Root-space grading induced by the semisimple element of an sl2 triple."""
 
     orbit_id: int
-    marks: tuple[int, ...]
     grade_of_root: dict[Weight, int]
     degree1_roots: tuple[Weight, ...]
     levi_positive_roots: tuple[Weight, ...]
@@ -275,7 +274,6 @@ def grading_data(rd: RootDatum, orbit: NilpotentOrbit) -> GradingData:
     levi_simple = tuple(i for i, m in enumerate(marks) if m == 0)
     return GradingData(
         orbit_id=orbit.id,
-        marks=marks,
         grade_of_root=grade_of_root,
         degree1_roots=tuple(degree1),
         levi_positive_roots=tuple(levi_pos),

@@ -83,14 +83,13 @@ class GeometricBasisVector:
     rank: int
     combination: tuple[tuple[Weight, int], ...]  # (Levi highest weight, coefficient)
     certified: bool
-    bound_sq: Fraction
 
     def __hash__(self) -> int:
         """Hash of (orbit_id, index) alone, consistent with ==.
 
         The generated __eq__ compares every field, so equal vectors have
         equal orbit_id and index, hence equal hashes.  The generated hash
-        would rehash the KClass and the Fraction bound_sq on every lookup.
+        would rehash the KClass and the combination on every lookup.
         """
         return hash((self.orbit_id, self.index))
 
@@ -199,7 +198,7 @@ def _ball_and_index(
 
 
 def spanning_set(
-    rd: RootDatum, kernel: PushforwardKernel, ball: _Ball, index: WeightIndex
+    kernel: PushforwardKernel, ball: _Ball, index: WeightIndex
 ) -> list[tuple[Weight, tuple[tuple[int, int], ...], int]]:
     """The distinct pushforward classes of the Levi-dominant weights in the span window.
 
@@ -215,7 +214,7 @@ def spanning_set(
     levi = sum(1 << i for i in kernel.levi_simple)
     keep = [not m & levi for m in ball.negative]
     phis = list(compress(ball.weights, keep))
-    return pushforward_classes(rd, kernel, index, phis, list(compress(ball.codes, keep)))
+    return pushforward_classes(kernel, index, phis, list(compress(ball.codes, keep)))
 
 
 def orbital_basis(
@@ -250,7 +249,7 @@ def orbital_basis(
     vectors anyway; the shared echelon makes it hold by construction.
     """
     certify_bound = int_norm_bound(rd, win.bound_sq)
-    candidates = spanning_set(rd, kernel, ball, index)
+    candidates = spanning_set(kernel, ball, index)
     split = hnf_certified_split(
         rd, [pairs for _, pairs, _ in candidates], win.support_sq, win.bound_sq, index
     )
@@ -274,7 +273,6 @@ def orbital_basis(
                 rank=rank,
                 combination=combination,
                 certified=certified,
-                bound_sq=win.bound_sq,
             )
         )
     return vectors
@@ -292,14 +290,32 @@ def full_basis(rd: RootDatum, bound_sq) -> GeometricBasis:
     every cap is checked once, before the ball, which can dwarf the check,
     is enumerated.
 
-    Conjecture, with its evidence.  The certified vectors are a Z-basis of
-    the classes supported within the bound: one per dominant weight of
-    norm^2 <= bound_sq, each such weight's class with integer coordinates.
-    The regular orbit's certified vectors are one per coset of X/Q that
-    holds such a weight, as the Lusztig-Vogan bijection would give with
-    the centre's characters X/Q on the regular orbit (Ostrik, Represent.
-    Theory 4, 2000).  test_certified_counts_match_window_dimension checks
-    both on twelve cases of rank 1 to 3; neither is proved here.
+    The lead rule, tested and proved in part.  The lead of a vector is its
+    support weight that is largest in (norm^2, lex) order, the order of the
+    split's columns.  Every vector, certified or provisional, has coefficient
+    +-1 at its lead, no two vectors share a lead, and the certified leads
+    are exactly the dominant weights of norm^2 <= bound_sq; so the certified
+    vectors are a unitriangular Z-basis of the classes supported within the
+    bound.  The zero orbit's certified leads are the lam with lam - 2 rho
+    dominant, the regular orbit's the least weight of each coset of X/Q that
+    meets the bound (as the Lusztig-Vogan bijection gives; Ostrik,
+    Represent. Theory 4, 2000), and the lead -> orbit map at one bound is
+    the restriction of the map at a larger one.
+    test_certified_counts_match_window_dimension checks all of this on
+    thirteen bases of rank 1 to 3 and six pairs of bounds.  Proved: a row
+    with a new lead is independent of kept rows with distinct leads, because
+    the lead of a nonzero combination of such rows is the largest lead it
+    uses.  Proved for the zero orbit: its kernel is the product of
+    (1 - e^beta) over beta > 0, so the class of a dominant phi is the sum
+    over sets S of positive roots of +-[dom(phi + S)].  As S - rho is a
+    weight of V(rho), phi + S is a weight of V(phi + rho) (x) V(rho), inside
+    the convex hull of W(phi + 2 rho); phi + rho is regular, so only S = all
+    positive roots gives a W-conjugate of phi + 2 rho, and every other term
+    is strictly shorter.  The lead is phi + 2 rho with coefficient +-1,
+    distinct phi give distinct leads, and the zero orbit's certified vectors
+    are +-(class of phi) for |phi + 2 rho|^2 <= bound_sq.  Unproved, and what
+    a set of leads in place of the boundary echelon waits on: a row whose
+    lead is already taken lies in the span of the kept rows.
     """
     win = _windows(rd, bound_sq)
     orbits = tuple(classify_orbits(rd))

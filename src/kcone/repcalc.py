@@ -16,7 +16,6 @@ convention fails loudly rather than silently.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from operator import mul
@@ -35,20 +34,6 @@ from .rootdata import (
     weight_norm_sq,
     weight_sub,
 )
-
-
-@dataclass
-class MultiplicityVector:
-    """Multiplicities of irreducibles with highest-weight norm^2 <= level.
-
-    Entries with multiplicity zero are omitted.  Treated as immutable.
-    """
-
-    entries: dict[Weight, int] = field(default_factory=dict)
-    level: Fraction = Fraction(0)
-
-    def __getitem__(self, hw: Weight) -> int:
-        return self.entries.get(tuple(hw), 0)
 
 
 WeylForms = tuple[tuple[tuple[int, ...], int], ...]
@@ -187,12 +172,12 @@ def weight_multiplicity(rd: RootDatum, hw, mu) -> int:
     return _dominant_multiplicities(rd, hw).get(mu_dom, 0)
 
 
-def restrict_gamma_class(rd: RootDatum, gamma, level) -> MultiplicityVector:
+def restrict_gamma_class(rd: RootDatum, gamma, level) -> dict[Weight, int]:
     """Truncated restriction of the torus-induced class of gamma.
 
     For each dominant hw with norm^2 <= level, the multiplicity of the
     irreducible V(hw) in the induced class equals the dimension of its
-    gamma weight space.  Weyl-invariant in gamma.
+    gamma weight space; zeros are omitted.  Weyl-invariant in gamma.
     """
     level = Fraction(level)
     if level < 0:
@@ -203,7 +188,7 @@ def restrict_gamma_class(rd: RootDatum, gamma, level) -> MultiplicityVector:
         m = weight_multiplicity(rd, hw, gamma_dom)
         if m:
             entries[hw] = m
-    return MultiplicityVector(entries, level)
+    return entries
 
 
 def restrict_kclass(rd: RootDatum, kclass, level) -> dict[Weight, int]:
@@ -214,5 +199,5 @@ def restrict_kclass(rd: RootDatum, kclass, level) -> dict[Weight, int]:
     level = Fraction(level)
     out: dict[Weight, int] = {}
     for gamma, coef in kclass.coeffs:
-        out = combine(1, out, -coef, restrict_gamma_class(rd, gamma, level).entries)
+        out = combine(1, out, -coef, restrict_gamma_class(rd, gamma, level))
     return out

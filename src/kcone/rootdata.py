@@ -97,9 +97,6 @@ class RootDatum:
     def dim_g(self) -> int:
         return self.rank + 2 * len(self.positive_roots)
 
-    def simple_root(self, i: int) -> Weight:
-        return self.positive_roots[i]
-
     def rho(self) -> Weight:
         """Half the sum of positive roots: (1, ..., 1)."""
         return (1,) * self.rank

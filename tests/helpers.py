@@ -611,7 +611,7 @@ def dense_hnf_certified_split(rd, vectors, support_norm_sq, certify_norm_sq):
     rows = [
         _DenseTrackedRow(flatten_kclass(kc, rev_index), {t: 1}, t)
         for t, kc in enumerate(vectors)
-        if not kc.is_zero()
+        if kc.coeffs
     ]
     done = {}
     active = rows

@@ -188,6 +188,45 @@ def test_acycle_rejects_non_integer_fields(capsys, tmp_path, module):
     assert "integer" in err
 
 
+@pytest.mark.parametrize(
+    "module,field",
+    [
+        ({"standards": [{"lambda_l": [0], "lambda_r": [0]}]}, '"coef"'),
+        ({"standards": [3]}, '"standards" entry'),
+        ({"standards": 3}, '"standards"'),
+        ({"kclass": [{"weight": [0], "coef": 1}]}, '"kclass"'),
+        ({"kclass": {"coeffs": {"weight": [0], "coef": 1}}}, '"coeffs"'),
+        ({"kclass": {"coeffs": [{"coef": 1}]}}, '"weight"'),
+    ],
+    ids=[
+        "missing-coef",
+        "entry-not-object",
+        "standards-not-list",
+        "kclass-not-object",
+        "coeffs-not-list",
+        "missing-weight",
+    ],
+)
+def test_acycle_malformed_module_names_its_field(capsys, tmp_path, module, field):
+    path = tmp_path / "bad_shape.json"
+    path.write_text(json.dumps(module))
+    code, out, err = run_cli(capsys, "acycle", "A1", "--bound-sq", "16", "--module", str(path))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and field in err
+
+
+def test_internal_fault_is_not_a_usage_error(capsys, monkeypatch):
+    # only a ValueError or OSError is a usage error; any other exception
+    # is a fault of kcone and must propagate with its traceback
+    def broken(*args):
+        raise KeyError("internal")
+
+    monkeypatch.setattr(cli, "full_basis", broken)
+    with pytest.raises(KeyError, match="internal"):
+        main(["basis", "A1", "--bound-sq", "4"])
+
+
 def test_negative_subset_cap_exits_2(capsys, monkeypatch):
     monkeypatch.setenv("KCONE_MAX_SUBSET_BITS", "-1")
     code, _, err = run_cli(capsys, "basis", "A1", "--bound-sq", "4")

@@ -16,6 +16,7 @@ from kcone import (
     norm_constant,
     pushforward,
     pushforward_kernel,
+    weight_norm_sq,
     weight_sub,
     weyl_dim,
 )
@@ -24,6 +25,7 @@ from kcone.ktheory import KClass
 from kcone.linalg import IntEchelon
 from kcone.orbitalg import orbital_basis, spanning_set
 from kcone.repcalc import _root_coefficients
+from kcone.rootdata import int_norm
 
 from helpers import (
     as_row,
@@ -34,6 +36,7 @@ from helpers import (
     rational_rank,
     reference_spanning_set,
 )
+from test_sparse_kernels import LIVE, RECORDED
 
 
 def test_norm_constant_values(a1, a2, b2):
@@ -60,7 +63,7 @@ def own_spanning_set(rd, gd, bound_sq):
     """spanning_set on a ball, kernel and index of its own, as (phi, KClass)."""
     kernel = pushforward_kernel(rd, gd)
     ball, index = orbitalg._ball_and_index(rd, orbitalg._windows(rd, bound_sq).span_sq, [kernel])
-    return as_kclasses(spanning_set(rd, kernel, ball, index), index)
+    return as_kclasses(spanning_set(kernel, ball, index), index)
 
 
 def test_spanning_set_a1_regular(a1):
@@ -111,9 +114,11 @@ def test_full_basis_a2_regular_stratum(basis_cache):
     }
 
 
-# (label, bound, certified count, regular-orbit certified count)
+# (label, bound, certified count, regular-orbit certified count); every
+# basis that test_sparse_kernels checks against the dense reference is here
 COUNT_CASES = [
     ("A1", 16, 6, 2),
+    ("A1", 64, 12, 2),
     ("A2", 18, 22, 3),
     ("A2", 50, 54, 3),
     ("B2", 16, 10, 2),
@@ -127,12 +132,28 @@ COUNT_CASES = [
     ("C3", 1, 2, 2),
 ]
 
+# (label, bound, larger bound): the certified lead -> orbit map at the
+# bound is the restriction of the map at the larger bound
+NESTED_BOUNDS = [("A2", 18, 50), ("A2", 50, 200), ("B2", 16, 64), ("G2", 8, 32),
+                 ("A1", 16, 64), ("A3", 2, 8)]
+
+
+def lead(rd, kc):
+    """The support weight of kc that is largest in (norm^2, lex) order."""
+    return max(kc.support(), key=lambda w: (int_norm(rd, w), w))
+
+
+def certified_leads(rd, basis):
+    return {lead(rd, v.kclass): v.orbit_id for v in basis.certified_vectors()}
+
 
 def test_certified_counts_match_window_dimension(basis_cache):
     # the invariants of the full_basis docstring: the certified vectors are
     # as many as the dominant weights inside the bound, every such weight's
     # class expands in them with integer coordinates, and the regular orbit
-    # holds one certified vector per coset of X/Q that meets the bound
+    # holds one certified vector per coset of X/Q that meets the bound; and
+    # the lead rule that explains them
+    assert {(label, bound) for label, bound, _, _ in COUNT_CASES} >= set(LIVE) | set(RECORDED)
     for label, bound, total, regular in COUNT_CASES:
         basis = basis_cache(label, bound)
         rd = build_root_datum(label)
@@ -151,6 +172,24 @@ def test_certified_counts_match_window_dimension(basis_cache):
         top = max(basis.orbits, key=lambda o: o.dimension)
         certified = [v for v in basis.strata[top.id] if v.certified]
         assert len(certified) == len(cosets) == regular, label
+
+        vectors = basis.all_vectors()
+        leads = [lead(rd, v.kclass) for v in vectors]
+        assert all(abs(v.kclass.as_dict()[w]) == 1 for v, w in zip(vectors, leads)), label
+        assert len(set(leads)) == len(leads), label
+        by_lead = certified_leads(rd, basis)
+        assert sorted(by_lead) == sorted(dominant), label
+        zero = min(basis.orbits, key=lambda o: o.dimension)
+        assert sorted(w for w, o in by_lead.items() if o == zero.id) == sorted(
+            lam for lam in dominant if min(lam) >= 2
+        ), label
+        assert sorted(w for w, o in by_lead.items() if o == top.id) == sorted(cosets), label
+    for label, bound, larger in NESTED_BOUNDS:
+        rd = build_root_datum(label)
+        small = certified_leads(rd, basis_cache(label, bound))
+        large = certified_leads(rd, basis_cache(label, larger))
+        inside = {w: o for w, o in large.items() if weight_norm_sq(rd, w) <= bound}
+        assert small == inside, (label, bound, larger)
 
 
 def test_certified_lattice_is_unimodular(basis_cache):
@@ -322,7 +361,7 @@ def test_spanning_set_on_shared_ball_matches_reference(label, bound):
     stride = 5 if label == "C3" else 1
     for orbit, kernel in zip(orbits, kernels):
         gd = grading_data(rd, orbit)
-        span = as_kclasses(spanning_set(rd, kernel, ball, index), index)
+        span = as_kclasses(spanning_set(kernel, ball, index), index)
         first = {}
         for phi, kc in reference_spanning_set(rd, gd, bound):
             first.setdefault(kc, phi)
@@ -473,4 +512,3 @@ def test_vector_metadata(basis_cache):
         for j, v in enumerate(basis.strata[orbit.id]):
             assert v.index == j
             assert v.orbit_id == orbit.id
-            assert v.bound_sq == Fraction(18)

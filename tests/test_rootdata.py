@@ -95,7 +95,7 @@ def test_cartan_invariants(label):
 def test_simple_roots_are_cartan_columns():
     rd = build_root_datum("B2")
     for j in range(rd.rank):
-        assert rd.simple_root(j) == tuple(rd.cartan[i][j] for i in range(rd.rank))
+        assert rd.positive_roots[j] == tuple(rd.cartan[i][j] for i in range(rd.rank))
 
 
 @pytest.mark.parametrize(
@@ -184,8 +184,8 @@ def test_weight_norm_examples(a1, a2):
 
 def test_weight_norm_b2_root_lengths(b2):
     # alpha1 is long (squared length 4), alpha2 short (2)
-    assert weight_norm_sq(b2, b2.simple_root(0)) == 4
-    assert weight_norm_sq(b2, b2.simple_root(1)) == 2
+    assert weight_norm_sq(b2, b2.positive_roots[0]) == 4
+    assert weight_norm_sq(b2, b2.positive_roots[1]) == 2
 
 
 def test_weight_norm_g2_root_lengths():
