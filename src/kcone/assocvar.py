@@ -48,11 +48,23 @@ class AssociatedCycle:
 
 
 def module_to_kclass(rd: RootDatum, vm: VirtualModule) -> KClass:
-    """K-theory class of a virtual module."""
+    """K-theory class of a virtual module.
+
+    Raises ValueError naming the first standard term whose two weights
+    differ in length, which weight_add would otherwise truncate.
+    """
     if vm.kclass is not None:
         # re-fold so raw caller-built classes obey the dominance invariant
         return kclass_from_terms(rd, vm.kclass.coeffs, rank=vm.kclass.rank)
-    return kclass_from_terms(rd, [(weight_add(lam_l, lam_r), c) for c, lam_l, lam_r in vm.terms])
+    terms = []
+    for term in vm.terms:
+        c, lam_l, lam_r = term
+        if len(lam_l) != len(lam_r):
+            raise ValueError(
+                f"standard term {term} pairs weights of lengths {len(lam_l)} and {len(lam_r)}"
+            )
+        terms.append((weight_add(lam_l, lam_r), c))
+    return kclass_from_terms(rd, terms)
 
 
 def express_in_geometric_basis(
@@ -102,14 +114,15 @@ def express_in_geometric_basis(
             "the basis with a larger bound"
         )
     numerators, denominator = solved
-    if denominator != 1:
-        for j, x in numerators.items():  # nonzero, in certified order
-            if x % denominator:
-                v = certified[j]
-                raise InternalConsistencyError(
-                    f"expansion coordinate {Fraction(x, denominator)} on orbit "
-                    f"{v.orbit_id} vector {v.index} is not an integer"
-                )
+    if denominator == 1:
+        return {certified[j]: x for j, x in numerators.items()}
+    for j, x in numerators.items():  # nonzero, in certified order
+        if x % denominator:
+            v = certified[j]
+            raise InternalConsistencyError(
+                f"expansion coordinate {Fraction(x, denominator)} on orbit "
+                f"{v.orbit_id} vector {v.index} is not an integer"
+            )
     return {certified[j]: x // denominator for j, x in numerators.items()}
 
 
@@ -118,7 +131,9 @@ def associated_cycle(
 ) -> AssociatedCycle:
     """Maximal support orbits with rank-weighted multiplicities."""
     mult: dict[int, int] = {}
+    get = mult.get
     for v, n in coords.items():
-        mult[v.orbit_id] = mult.get(v.orbit_id, 0) + n * v.rank
+        z = v.orbit_id
+        mult[z] = get(z, 0) + n * v.rank
     maximal = poset.maximal(mult)
     return AssociatedCycle(tuple((z, mult[z]) for z in maximal), tuple(maximal))

@@ -130,7 +130,15 @@ def gamma_class(rd: RootDatum, gamma: Sequence[int]) -> KClass:
 
 
 def std_to_class(rd: RootDatum, lambda_l: Sequence[int], lambda_r: Sequence[int]) -> KClass:
-    """Class of a standard module; depends only on the sum of the parameters."""
+    """Class of a standard module; depends only on the sum of the parameters.
+
+    Raises ValueError when the two weights differ in length.
+    """
+    if len(lambda_l) != len(lambda_r):
+        raise ValueError(
+            f"standard term {(tuple(lambda_l), tuple(lambda_r))} pairs weights of "
+            f"lengths {len(lambda_l)} and {len(lambda_r)}"
+        )
     return gamma_class(rd, weight_add(lambda_l, lambda_r))
 
 

@@ -236,15 +236,31 @@ class Factorization:
         at once; the numerators come in increasing column index.  A nonzero
         entry at a key no column carries gives None at once.  Otherwise x
         is sum_w t_w * x(e_w), summed with the residuals over the lcm of
-        the scales met, and a nonzero summed residual gives None.  For a
-        square unimodular system every scale is 1 and every residual is
-        empty, so the sum only adds ints.
+        the scales met, and a nonzero summed residual gives None.  The
+        first nonzero entry seeds the sums with t_w times its own pairs
+        over its own scale: that is what adding it to the empty sums over
+        denominator 1 gives, the lcm of 1 and the scale being the scale.
+        Every later entry is added in place, the sums being multiplied
+        through when its scale does not divide the denominator, so the sum
+        is the same whichever entry comes first.  For a square unimodular
+        system every scale is 1 and every residual is empty, so the sum
+        only adds ints, and a denominator of 1 needs no final gcd.
         """
         columns = self._columns
-        den = 1
-        units: dict[int, int] = {}
-        residual: dict[int, int] = {}
-        for w, t in target.items():
+        items = iter(target.items())
+        for w, t in items:
+            if t:
+                break
+        else:
+            return {}, 1
+        column = columns.get(w)
+        if column is None:
+            return None
+        pairs, rest, den = column
+        units = {j: t * x for j, x in pairs}
+        residual = {q: t * x for q, x in rest}
+        get = units.get
+        for w, t in items:
             if not t:
                 continue
             column = columns.get(w)
@@ -255,16 +271,20 @@ class Factorization:
                 if den % scale:
                     m = scale // math.gcd(den, scale)
                     den *= m
-                    units = {j: m * x for j, x in units.items()}
-                    residual = {q: m * x for q, x in residual.items()}
+                    for j in units:
+                        units[j] *= m
+                    for q in residual:
+                        residual[q] *= m
                 t *= den // scale
             for j, x in pairs:
-                units[j] = units.get(j, 0) + t * x
+                units[j] = get(j, 0) + t * x
             for q, x in rest:
                 residual[q] = residual.get(q, 0) + t * x
         if any(residual.values()):
             return None
-        numerators = {j: x for j, x in sorted(units.items()) if x}
+        numerators = {j: units[j] for j in sorted(units) if units[j]}
+        if den == 1:
+            return numerators, 1
         g = math.gcd(den, *numerators.values())
         if g != 1:
             numerators = {j: x // g for j, x in numerators.items()}

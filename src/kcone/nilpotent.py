@@ -24,7 +24,7 @@ distinct very even partitions is taken label-matching.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Iterable, Sequence
 
 from .rootdata import RootDatum, UnknownTypeError, Weight, _parse_label
@@ -47,11 +47,9 @@ class GradingData:
     """Root-space grading induced by the semisimple element of an sl2 triple."""
 
     orbit_id: int
-    grade_of_root: dict[Weight, int]
     degree1_roots: tuple[Weight, ...]
     levi_positive_roots: tuple[Weight, ...]
     levi_simple: tuple[int, ...]
-    ge2_roots: tuple[Weight, ...]
 
 
 @dataclass(frozen=True)
@@ -64,9 +62,26 @@ class ClosurePoset:
     def leq(self, a: int, b: int) -> bool:
         return a == b or a in self.below[b]
 
+    @cached_property
+    def above_masks(self) -> dict[int, int]:
+        """Per orbit id, the bitmask (bit j for id j) of the orbits strictly above it.
+
+        Built on the first read, so building the poset stays as cheap as before.
+        """
+        masks = dict.fromkeys(self.below, 0)
+        for j, lower in self.below.items():
+            for i in lower:
+                masks[i] |= 1 << j
+        return masks
+
     def maximal(self, ids: Iterable[int]) -> list[int]:
+        """The ids that no other given id lies above, sorted and without repeats."""
         ids = sorted(set(ids))
-        return [i for i in ids if not any(i in self.below[j] for j in ids if j != i)]
+        present = 0
+        for i in ids:
+            present |= 1 << i
+        above = self.above_masks
+        return [i for i in ids if not above[i] & present]
 
 
 # ---------------------------------------------------------------------------
@@ -258,27 +273,20 @@ def grading_data(rd: RootDatum, orbit: NilpotentOrbit) -> GradingData:
     if not (0 <= orbit.id < len(known) and known[orbit.id] == orbit):
         raise ValueError(f"orbit {orbit!r} does not belong to the classification of {rd.type_label}")
     marks = orbit.dynkin_marks
-    grade_of_root: dict[Weight, int] = {}
     degree1 = []
     levi_pos = []
-    ge2 = []
     for root, coeffs in zip(rd.positive_roots, rd.positive_root_coeffs):
         g = sum(c * m for c, m in zip(coeffs, marks))
-        grade_of_root[root] = g
         if g == 0:
             levi_pos.append(root)
         elif g == 1:
             degree1.append(root)
-        else:
-            ge2.append(root)
     levi_simple = tuple(i for i, m in enumerate(marks) if m == 0)
     return GradingData(
         orbit_id=orbit.id,
-        grade_of_root=grade_of_root,
         degree1_roots=tuple(degree1),
         levi_positive_roots=tuple(levi_pos),
         levi_simple=levi_simple,
-        ge2_roots=tuple(ge2),
     )
 
 

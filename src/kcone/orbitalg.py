@@ -40,7 +40,7 @@ computation cannot certify.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from itertools import compress
@@ -83,15 +83,22 @@ class GeometricBasisVector:
     rank: int
     combination: tuple[tuple[Weight, int], ...]  # (Levi highest weight, coefficient)
     certified: bool
+    _hash: int = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        """Store hash((orbit_id, index)), which __hash__ returns.
+
+        The generated __eq__ compares every field but _hash, so equal
+        vectors have equal orbit_id and index, hence equal hashes, also
+        across builds.  dataclasses.replace runs this again, and copy and
+        pickle carry the stored int with the fields it was computed from.
+        The generated hash would rehash the KClass and the combination on
+        every lookup, and a computed one would build a tuple.
+        """
+        object.__setattr__(self, "_hash", hash((self.orbit_id, self.index)))
 
     def __hash__(self) -> int:
-        """Hash of (orbit_id, index) alone, consistent with ==.
-
-        The generated __eq__ compares every field, so equal vectors have
-        equal orbit_id and index, hence equal hashes.  The generated hash
-        would rehash the KClass and the combination on every lookup.
-        """
-        return hash((self.orbit_id, self.index))
+        return self._hash
 
 
 @dataclass(frozen=True)

@@ -29,6 +29,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
+from operator import add
 from typing import Iterable, Sequence
 
 from .linalg import Factorization
@@ -54,7 +55,8 @@ def zero_weight(rank: int) -> Weight:
 
 
 def weight_add(a: Sequence[int], b: Sequence[int]) -> Weight:
-    return tuple(x + y for x, y in zip(a, b))
+    """Coordinatewise sum, truncated to the shorter weight as zip is."""
+    return tuple(map(add, a, b))
 
 
 def weight_sub(a: Sequence[int], b: Sequence[int]) -> Weight:

@@ -1,4 +1,6 @@
+import copy
 import dataclasses
+import pickle
 import random
 from fractions import Fraction
 
@@ -22,6 +24,7 @@ from kcone import (
     kclass_scale,
     module_to_kclass,
     skyscraper_class,
+    std_to_class,
     weight_sub,
     weyl_dim,
 )
@@ -39,6 +42,18 @@ def test_module_to_kclass_examples(a1, a2):
     assert module_to_kclass(a1, VirtualModule(terms=((1, (0,), (0,)),))).as_dict() == {(0,): 1}
     assert module_to_kclass(a1, trivial_module_a1()).as_dict() == {(0,): 1, (2,): -1}
     assert module_to_kclass(a2, VirtualModule(terms=((2, (1, 0), (0, 1)),))).as_dict() == {(1, 1): 2}
+
+
+def test_mismatched_weight_lengths_are_rejected(a2):
+    # weight_add truncates to the shorter weight, so (1, 0, 5) + (0, 1) would
+    # be read as the class of (1, 1)
+    vm = VirtualModule(terms=((1, (1, 0), (0, 1)), (1, (1, 0, 5), (0, 1))))
+    with pytest.raises(ValueError, match=r"term \(1, \(1, 0, 5\), \(0, 1\)\) .* lengths 3 and 2"):
+        module_to_kclass(a2, vm)
+    with pytest.raises(ValueError, match=r"term \(\(1, 0, 9\), \(0, 1\)\) .* lengths 3 and 2"):
+        std_to_class(a2, (1, 0, 9), (0, 1))
+    with pytest.raises(ValueError, match="lengths 1 and 2"):
+        std_to_class(a2, [1], [0, 1])
 
 
 def test_module_to_kclass_matches_skyscraper(a1):
@@ -379,6 +394,14 @@ def test_equal_vectors_from_two_builds_hash_alike(basis_cache, a2):
         coords = express_in_geometric_basis(a2, kc, second)
         assert coords == fresh_coords(second.certified_vectors(), kc)
         assert coords == express_in_geometric_basis(a2, kc, first)
+
+
+def test_stored_hash_follows_the_fields(basis_cache):
+    for v in basis_cache("A2", 50).all_vectors():
+        moved = dataclasses.replace(v, index=v.index + 7)
+        for w in (v, moved, copy.copy(v), copy.copy(moved), pickle.loads(pickle.dumps(moved))):
+            assert hash(w) == hash((w.orbit_id, w.index))
+        assert pickle.loads(pickle.dumps(v)) == v != moved
 
 
 @pytest.mark.parametrize("label,bound", DIFFERENTIAL_BASES)

@@ -1,4 +1,5 @@
 import copy
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -257,6 +258,59 @@ def test_solve_in_span_target_whose_unit_targets_are_not():
     assert factorization.solve({"c": 1, "b": 1, "a": 2}) == ({0: 1}, 1)
     assert factorization.solve({"c": 2, "a": 3, "b": -1}) == ({0: 2, 1: -1}, 1)
     assert factorization.solve({"c": 1}) is None
+
+
+def assert_order_free(columns, target):
+    """solve gives one answer for every insertion order of target, the Fraction one.
+
+    The first nonzero entry seeds the sums, so each entry takes that place
+    in some order.  Returns the answer.
+    """
+    factorization = Factorization(columns)
+    answers = set()
+    for order in itertools.permutations(target.items()):
+        answer = factorization.solve(dict(order))
+        answers.add(None if answer is None else (tuple(answer[0].items()), answer[1]))
+    assert len(answers) == 1
+    (answer,) = answers
+    keys = sorted({w for col in columns for w in col} | set(target))
+    expected = solve_fractions(
+        [[col.get(w, 0) for w in keys] for col in columns], [target.get(w, 0) for w in keys]
+    )
+    if answer is None:
+        assert expected is None
+    else:
+        numerators, denominator = dict(answer[0]), answer[1]
+        assert [Fraction(numerators.get(j, 0), denominator) for j in range(len(columns))] == expected
+    return answer
+
+
+def test_solve_does_not_depend_on_target_order(basis_cache):
+    # the residual example, with an explicit zero at a key no column carries
+    residual = [{"a": 1, "b": -1}]
+    assert assert_order_free(residual, {"z": 0, "a": 2, "b": -2}) == (((0, 2),), 1)
+    assert assert_order_free(residual, {"a": 1, "b": 1}) is None
+    # scales 3 and 1 with residuals, so some orders grow the denominator in place
+    scaled = [{"a": 2, "b": 1, "c": 1}, {"a": 1, "b": 3}]
+    assert assert_order_free(scaled, {"c": 1, "b": 1, "a": 2}) == (((0, 1),), 1)
+    assert assert_order_free(scaled, {"c": 2, "a": 3, "b": -1}) == (((0, 2), (1, -1)), 1)
+    assert assert_order_free(scaled, {"c": 1, "a": 5}) is None
+    # a non-integer answer
+    weights = [{(1, 0): 1, (0, 2): 0}, {(0, 2): 3}]
+    assert assert_order_free(weights, {(1, 0): 2, (0, 2): 1}) == (((0, 6), (1, 1)), 3)
+    # the A1@16 basis without its regular stratum: 4 certified vectors over 6
+    # weights; in-span targets over several weights, and the gamma class of 0
+    zero_orbit = [v.kclass.as_dict() for v in basis_cache("A1", 16).strata[0] if v.certified]
+    assert len(zero_orbit) == 4
+    rng = random.Random(20261020)
+    for _ in range(6):
+        target = {}
+        for col in zero_orbit:
+            n = rng.randint(-2, 2)
+            for w, x in col.items():
+                target[w] = target.get(w, 0) + n * x
+        assert assert_order_free(zero_orbit, target) is not None
+    assert assert_order_free(zero_orbit, {(0,): 1}) is None
 
 
 def seeded_target(rng, columns, m):

@@ -95,13 +95,27 @@ def test_poset_invariants(label):
     assert minima == [0]
 
 
+def grades(rd, orbit):
+    """Each positive root's grade under the orbit's Dynkin marks."""
+    return {
+        root: sum(c * m for c, m in zip(coeffs, orbit.dynkin_marks))
+        for root, coeffs in zip(rd.positive_roots, rd.positive_root_coeffs)
+    }
+
+
+def ge2_roots(rd, orbit):
+    """The positive roots of grade at least 2, in positive_roots order."""
+    grade = grades(rd, orbit)
+    return tuple(root for root in rd.positive_roots if grade[root] >= 2)
+
+
 def test_grading_data_a1_regular(a1):
     orbits = classify_orbits(a1)
     gd = grading_data(a1, orbits[1])
     assert gd.degree1_roots == ()
     assert gd.levi_positive_roots == ()
     assert gd.levi_simple == ()
-    assert gd.ge2_roots == ((2,),)
+    assert ge2_roots(a1, orbits[1]) == ((2,),)
 
 
 def test_grading_data_a2_subregular(a2):
@@ -109,26 +123,30 @@ def test_grading_data_a2_subregular(a2):
     gd = grading_data(a2, orbits[1])
     assert set(gd.degree1_roots) == {(2, -1), (-1, 2)}
     assert gd.levi_positive_roots == ()
-    assert gd.ge2_roots == ((1, 1),)
-    assert gd.grade_of_root[(1, 1)] == 2
+    assert ge2_roots(a2, orbits[1]) == ((1, 1),)
+    assert grades(a2, orbits[1])[(1, 1)] == 2
 
 
 def test_grading_data_zero_orbit(a2, b2):
     for rd in (a2, b2):
-        gd = grading_data(rd, classify_orbits(rd)[0])
+        zero = classify_orbits(rd)[0]
+        gd = grading_data(rd, zero)
         assert set(gd.levi_positive_roots) == set(rd.positive_roots)
-        assert gd.degree1_roots == () and gd.ge2_roots == ()
+        assert gd.degree1_roots == () and ge2_roots(rd, zero) == ()
         assert gd.levi_simple == tuple(range(rd.rank))
 
 
 @pytest.mark.parametrize("label", ["B2", "G2", "D4"])
 def test_grades_match_marks(label):
+    # grading_data sorts every positive root by its grade: 0 into the Levi,
+    # 1 into degree1_roots, and the rest, of grade 2 or more, into neither
     rd = build_root_datum(label)
     for orbit in classify_orbits(rd):
         gd = grading_data(rd, orbit)
-        for root, coeffs in zip(rd.positive_roots, rd.positive_root_coeffs):
-            expected = sum(c * m for c, m in zip(coeffs, orbit.dynkin_marks))
-            assert gd.grade_of_root[root] == expected
+        grade = grades(rd, orbit)
+        assert gd.levi_positive_roots == tuple(r for r in rd.positive_roots if grade[r] == 0)
+        assert gd.degree1_roots == tuple(r for r in rd.positive_roots if grade[r] == 1)
+        assert all(g >= 0 for g in grade.values())
 
 
 def test_grading_rejects_foreign_orbit(a1, a2):
@@ -182,3 +200,30 @@ def test_d4_very_even_pairs():
     # non-very-even neighbours relate to both members of a pair
     assert poset.leq(by_label["[3,2,2,1]"].id, by_label["[4,4]_I"].id)
     assert poset.leq(by_label["[3,2,2,1]"].id, by_label["[4,4]_II"].id)
+
+
+def maximal_reference(poset, ids):
+    """ClosurePoset.maximal by its definition, one below-set test per pair."""
+    ids = sorted(set(ids))
+    return [i for i in ids if not any(i in poset.below[j] for j in ids if j != i)]
+
+
+@pytest.mark.parametrize("label", ["A2", "B2", "G2", "A3", "B3", "C3", "D4", "A1xA1xA1"])
+def test_maximal_matches_reference_on_every_subset(label):
+    rd = build_root_datum(label)
+    poset = closure_poset(rd, classify_orbits(rd))
+    n = len(poset.below)
+    for mask in range(1 << n):
+        ids = [i for i in range(n) if mask >> i & 1]
+        expected = maximal_reference(poset, ids)
+        assert poset.maximal(ids) == expected
+        assert poset.maximal(reversed(ids)) == expected  # unsorted, and a one-pass iterable
+        assert poset.maximal(ids + ids[::2]) == expected  # repeats
+    assert poset.maximal([]) == [] and poset.maximal(iter(())) == []
+
+
+def test_above_masks_are_lazy(a2):
+    poset = closure_poset(a2, classify_orbits(a2))
+    assert "above_masks" not in vars(poset)
+    assert poset.maximal({2: 1, 0: 3}) == [2]
+    assert poset.above_masks == {0: 0b110, 1: 0b100, 2: 0}
