@@ -21,7 +21,6 @@ from .ktheory import (
     pushforward,
     pushforward_kernel,
     skyscraper_class,
-    std_to_class,
 )
 from .nilpotent import (
     ClosurePoset,
@@ -99,7 +98,6 @@ __all__ = [
     "restrict_gamma_class",
     "restrict_kclass",
     "skyscraper_class",
-    "std_to_class",
     "weight_add",
     "weight_form",
     "weight_multiplicity",

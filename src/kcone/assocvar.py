@@ -15,7 +15,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
 
 from .ktheory import KClass, kclass_from_terms
 from .nilpotent import ClosurePoset
@@ -33,10 +32,9 @@ class InternalConsistencyError(RuntimeError):
 
 @dataclass(frozen=True)
 class VirtualModule:
-    """Integer combination of standard modules, or a raw K-theory class."""
+    """Standard-module terms (c, lambda_l, lambda_r); fold a raw class with kclass_from_terms."""
 
     terms: tuple[tuple[int, Weight, Weight], ...] = ()
-    kclass: Optional[KClass] = None
 
 
 @dataclass(frozen=True)
@@ -48,14 +46,11 @@ class AssociatedCycle:
 
 
 def module_to_kclass(rd: RootDatum, vm: VirtualModule) -> KClass:
-    """K-theory class of a virtual module.
+    """The class sum of c [lambda_l + lambda_r], folded by kclass_from_terms.
 
     Raises ValueError naming the first standard term whose two weights
     differ in length, which weight_add would otherwise truncate.
     """
-    if vm.kclass is not None:
-        # re-fold so raw caller-built classes obey the dominance invariant
-        return kclass_from_terms(rd, vm.kclass.coeffs, rank=vm.kclass.rank)
     terms = []
     for term in vm.terms:
         c, lam_l, lam_r = term
@@ -76,7 +71,8 @@ def express_in_geometric_basis(
     or the class is not in the certified span within the truncation window,
     and InternalConsistencyError if the certified vectors are dependent or
     the coordinates are not integers.  Raises ValueError if a support weight
-    has the wrong length or is not dominant, which no bound can help.  The
+    has the wrong length, is not dominant or is repeated (kclass_from_terms
+    builds classes without any of these), which no bound can help.  The
     certified vectors are eliminated once per basis, on its first query
     (GeometricBasis.certified_factorization), which keys them by their
     weights and stores the coordinates of each weight's unit class, so a
@@ -91,6 +87,9 @@ def express_in_geometric_basis(
         certified, factorization = basis.certified_factorization
     except ValueError:  # reported after the weight checks, which come first
         certified, factorization = (), None
+    target = dict(kc.coeffs)
+    if len(target) < len(kc.coeffs):  # dict kept only the last pair of a repeated weight
+        raise ValueError("class support repeats a weight; fold the class with kclass_from_terms")
     bound = None
     for w, _ in kc.coeffs:
         if len(w) != rd.rank or min(w) < 0:
@@ -107,7 +106,7 @@ def express_in_geometric_basis(
         raise InternalConsistencyError(
             "certified basis vectors are linearly dependent in the window"
         )
-    solved = factorization.solve(dict(kc.coeffs))
+    solved = factorization.solve(target)
     if solved is None:
         raise BoundTooSmallError(
             "class is not in the certified span at this bound; recompute "

@@ -44,7 +44,7 @@ from .ktheory import (
 from .nilpotent import classify_orbits, closure_poset, grading_data
 from .orbitalg import GeometricBasis, GeometricBasisVector, full_basis
 from .repcalc import restrict_gamma_class, restrict_kclass
-from .rootdata import build_root_datum
+from .rootdata import RootDatum, build_root_datum
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -268,40 +268,45 @@ def _member(obj: dict, key: str, what: str):
     return obj[key]
 
 
-def _parse_module_file(path: str, rank: int) -> VirtualModule:
-    """The virtual module in the file at path; every shape fault is a ValueError naming its field."""
+def _parse_module_file(path: str, rd: RootDatum) -> KClass:
+    """The class of the virtual module in the file at path.
+
+    The file gives exactly one of "standards", folded by module_to_kclass,
+    and "kclass", folded by kclass_from_terms.  Every shape fault is a
+    ValueError naming its field.
+    """
     with open(path, "r", encoding="utf-8") as fh:
         data = _shaped(json.load(fh), dict, "a module file")
+    if "standards" in data and "kclass" in data:
+        raise ValueError('a module file gives "standards" or "kclass", not both')
     if "standards" in data:
         where = 'a "standards" entry'
         terms = []
         for entry in _shaped(data["standards"], list, '"standards"'):
             _shaped(entry, dict, where)
             coef = _int_field(_member(entry, "coef", where), "coefficient")
-            lam_l = _weight_field(_member(entry, "lambda_l", where), rank)
-            lam_r = _weight_field(_member(entry, "lambda_r", where), rank)
-            if coef:
-                terms.append((coef, lam_l, lam_r))
-        return VirtualModule(terms=tuple(terms))
+            lam_l = _weight_field(_member(entry, "lambda_l", where), rd.rank)
+            lam_r = _weight_field(_member(entry, "lambda_r", where), rd.rank)
+            terms.append((coef, lam_l, lam_r))
+        return module_to_kclass(rd, VirtualModule(terms=tuple(terms)))
     if "kclass" in data:
         raw = _shaped(data["kclass"], dict, '"kclass"')
         where = 'a "coeffs" entry'
         coeffs = []
         for item in _shaped(_member(raw, "coeffs", '"kclass"'), list, '"coeffs"'):
             _shaped(item, dict, where)
-            weight = _weight_field(_member(item, "weight", where), rank)
+            weight = _weight_field(_member(item, "weight", where), rd.rank)
             coeffs.append((weight, _int_field(_member(item, "coef", where), "coefficient")))
         rank_field = raw.get("rank")
         if rank_field is not None:
             _int_field(rank_field, "rank")
-        return VirtualModule(kclass=KClass(tuple(coeffs), rank_field))
+        return kclass_from_terms(rd, coeffs, rank_field)
     raise ValueError('module file needs a "standards" or "kclass" key')
 
 
 def cmd_acycle(args: argparse.Namespace) -> int:
     rd = build_root_datum(args.type)
-    vm = _parse_module_file(args.module, rd.rank)
-    kc = module_to_kclass(rd, vm)
+    kc = _parse_module_file(args.module, rd)
     basis = full_basis(rd, args.bound_sq)
     coords = express_in_geometric_basis(rd, kc, basis)
     cycle = associated_cycle(coords, basis.poset)

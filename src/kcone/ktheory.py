@@ -81,9 +81,10 @@ def _check_subset_cap(nroots: int, context: str) -> None:
 class KClass:
     """Integer combination of dominant weights, with an optional virtual rank.
 
-    coeffs is sorted by weight and contains no zero coefficients.  rank is
-    the virtual fiber dimension over the open orbit of the class's support,
-    when the class arises from a fixed orbit; None otherwise.
+    coeffs is sorted by weight, holds each weight once and contains no zero
+    coefficients.  rank is the virtual fiber dimension over the open orbit
+    of the class's support, when the class arises from a fixed orbit; None
+    otherwise.
     """
 
     coeffs: tuple[tuple[Weight, int], ...]
@@ -91,9 +92,6 @@ class KClass:
 
     def as_dict(self) -> dict[Weight, int]:
         return dict(self.coeffs)
-
-    def support(self) -> tuple[Weight, ...]:
-        return tuple(w for w, _ in self.coeffs)
 
 
 def kclass_from_terms(
@@ -127,19 +125,6 @@ def kclass_scale(a: KClass, n: int) -> KClass:
 def gamma_class(rd: RootDatum, gamma: Sequence[int]) -> KClass:
     """The class of the standard module with torus character gamma."""
     return kclass_from_terms(rd, [(tuple(gamma), 1)])
-
-
-def std_to_class(rd: RootDatum, lambda_l: Sequence[int], lambda_r: Sequence[int]) -> KClass:
-    """Class of a standard module; depends only on the sum of the parameters.
-
-    Raises ValueError when the two weights differ in length.
-    """
-    if len(lambda_l) != len(lambda_r):
-        raise ValueError(
-            f"standard term {(tuple(lambda_l), tuple(lambda_r))} pairs weights of "
-            f"lengths {len(lambda_l)} and {len(lambda_r)}"
-        )
-    return gamma_class(rd, weight_add(lambda_l, lambda_r))
 
 
 @dataclass(frozen=True)

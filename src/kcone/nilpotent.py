@@ -59,9 +59,6 @@ class ClosurePoset:
     covers: dict[int, tuple[int, ...]]
     below: dict[int, frozenset[int]]
 
-    def leq(self, a: int, b: int) -> bool:
-        return a == b or a in self.below[b]
-
     @cached_property
     def above_masks(self) -> dict[int, int]:
         """Per orbit id, the bitmask (bit j for id j) of the orbits strictly above it.
@@ -225,15 +222,14 @@ class _Classification:
     factor_data: tuple[tuple[_FactorOrbit, ...], ...]  # per orbit, per factor
 
 
+def _grades(rd: RootDatum, marks: Sequence[int]) -> list[int]:
+    """The grade sum c_i m_i of each positive root sum c_i alpha_i, in positive_roots order."""
+    return [sum(c * m for c, m in zip(coeffs, marks)) for coeffs in rd.positive_root_coeffs]
+
+
 def _dimension_from_marks(rd: RootDatum, marks: Sequence[int]) -> int:
-    grade0 = grade1 = 0
-    for coeffs in rd.positive_root_coeffs:
-        g = sum(c * m for c, m in zip(coeffs, marks))
-        if g == 0:
-            grade0 += 1
-        elif g == 1:
-            grade1 += 1
-    return rd.dim_g - rd.rank - 2 * grade0 - grade1
+    grades = _grades(rd, marks)
+    return rd.dim_g - rd.rank - 2 * grades.count(0) - grades.count(1)
 
 
 @lru_cache(maxsize=None)
@@ -275,8 +271,7 @@ def grading_data(rd: RootDatum, orbit: NilpotentOrbit) -> GradingData:
     marks = orbit.dynkin_marks
     degree1 = []
     levi_pos = []
-    for root, coeffs in zip(rd.positive_roots, rd.positive_root_coeffs):
-        g = sum(c * m for c, m in zip(coeffs, marks))
+    for root, g in zip(rd.positive_roots, _grades(rd, marks)):
         if g == 0:
             levi_pos.append(root)
         elif g == 1:

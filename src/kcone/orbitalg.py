@@ -140,14 +140,11 @@ class GeometricBasis:
         return certified, Factorization([v.kclass.as_dict() for v in certified])
 
     def certified_vectors(self) -> list[GeometricBasisVector]:
-        out = []
-        for orbit in self.orbits:  # already ordered by (dimension, id)
-            out.extend(v for v in self.strata[orbit.id] if v.certified)
-        return out
+        return [v for v in self.all_vectors() if v.certified]
 
     def all_vectors(self) -> list[GeometricBasisVector]:
         out = []
-        for orbit in self.orbits:
+        for orbit in self.orbits:  # already ordered by (dimension, id)
             out.extend(self.strata[orbit.id])
         return out
 

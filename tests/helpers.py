@@ -96,10 +96,6 @@ def decode(index, code) -> tuple[int, ...]:
     return tuple(reversed(w))
 
 
-def apply_weyl(m: Matrix, w) -> tuple[int, ...]:
-    return _mat_apply(m, w)
-
-
 # ---------------------------------------------------------------------------
 # references for the integer window kernels
 

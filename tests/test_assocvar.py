@@ -24,7 +24,6 @@ from kcone import (
     kclass_scale,
     module_to_kclass,
     skyscraper_class,
-    std_to_class,
     weight_sub,
     weyl_dim,
 )
@@ -42,6 +41,9 @@ def test_module_to_kclass_examples(a1, a2):
     assert module_to_kclass(a1, VirtualModule(terms=((1, (0,), (0,)),))).as_dict() == {(0,): 1}
     assert module_to_kclass(a1, trivial_module_a1()).as_dict() == {(0,): 1, (2,): -1}
     assert module_to_kclass(a2, VirtualModule(terms=((2, (1, 0), (0, 1)),))).as_dict() == {(1, 1): 2}
+    # a standard module's class depends only on the sum of its parameters
+    assert module_to_kclass(a1, VirtualModule(terms=((1, (1,), (1,)),))).as_dict() == {(2,): 1}
+    assert module_to_kclass(a2, VirtualModule(terms=((1, (1, 0), (-2, 2)),))).as_dict() == {(1, 1): 1}
 
 
 def test_mismatched_weight_lengths_are_rejected(a2):
@@ -50,20 +52,30 @@ def test_mismatched_weight_lengths_are_rejected(a2):
     vm = VirtualModule(terms=((1, (1, 0), (0, 1)), (1, (1, 0, 5), (0, 1))))
     with pytest.raises(ValueError, match=r"term \(1, \(1, 0, 5\), \(0, 1\)\) .* lengths 3 and 2"):
         module_to_kclass(a2, vm)
-    with pytest.raises(ValueError, match=r"term \(\(1, 0, 9\), \(0, 1\)\) .* lengths 3 and 2"):
-        std_to_class(a2, (1, 0, 9), (0, 1))
     with pytest.raises(ValueError, match="lengths 1 and 2"):
-        std_to_class(a2, [1], [0, 1])
+        module_to_kclass(a2, VirtualModule(terms=((1, [1], [0, 1]),)))
 
 
 def test_module_to_kclass_matches_skyscraper(a1):
     assert module_to_kclass(a1, trivial_module_a1()).coeffs == skyscraper_class(a1, (0,)).coeffs
 
 
-def test_module_to_kclass_raw_kclass_refolds(a2):
-    raw = KClass((((-1, 2), 1),))  # deliberately non-dominant key
-    vm = VirtualModule(kclass=raw)
-    assert module_to_kclass(a2, vm).as_dict() == {(1, 1): 1}
+def test_kclass_from_terms_refolds_raw_class(a2):
+    # a raw class is folded directly: non-dominant, repeated and zero entries
+    raw = (((-1, 2), 1), ((1, 1), 2), ((0, 0), 0), ((2, 0), 1), ((2, 0), -1))
+    assert kclass_from_terms(a2, raw, rank=3) == KClass((((1, 1), 3),), 3)
+
+
+def test_repeated_support_weight_is_rejected(basis_cache, a1):
+    # dict(coeffs) would keep only the last pair and read this class as [0]
+    basis = basis_cache("A1", 16)
+    repeated = KClass((((0,), 1), ((0,), 1)))
+    with pytest.raises(ValueError, match="repeats a weight") as info:
+        express_in_geometric_basis(a1, repeated, basis)
+    assert not isinstance(info.value, BoundTooSmallError)
+    folded = kclass_from_terms(a1, repeated.coeffs)
+    assert folded.coeffs == (((0,), 2),)
+    assert associated_cycle(express_in_geometric_basis(a1, folded, basis), basis.poset).components == ((1, 2),)
 
 
 def test_express_examples_a1(basis_cache, a1):
@@ -412,7 +424,7 @@ def test_expansion_matches_fraction_reference(basis_cache, label, bound):
     rng = random.Random(f"{label}@{bound}")
     for _ in range(2):
         kc = module_to_kclass(rd, VirtualModule(terms=seeded_terms(rng, SUMS[label])))
-        keys = sorted({w for v in certified for w in v.kclass.support()} | set(kc.support()))
+        keys = sorted({w for v in certified for w, _ in v.kclass.coeffs} | {w for w, _ in kc.coeffs})
         columns = [[v.kclass.as_dict().get(w, 0) for w in keys] for v in certified]
         expected = solve_fractions(columns, [kc.as_dict().get(w, 0) for w in keys])
         coords = express_in_geometric_basis(rd, kc, basis)

@@ -6,13 +6,16 @@ import resource
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import pytest
 
-from kcone import cli, orbitalg
+from kcone import KClass, cli, orbitalg
 from kcone.cli import main
 
 from helpers import reference_payload
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def run_cli(capsys, *argv):
@@ -197,6 +200,13 @@ def test_acycle_rejects_non_integer_fields(capsys, tmp_path, module):
         ({"kclass": [{"weight": [0], "coef": 1}]}, '"kclass"'),
         ({"kclass": {"coeffs": {"weight": [0], "coef": 1}}}, '"coeffs"'),
         ({"kclass": {"coeffs": [{"coef": 1}]}}, '"weight"'),
+        (
+            {
+                "standards": [{"coef": 1, "lambda_l": [0], "lambda_r": [0]}],
+                "kclass": {"coeffs": [{"weight": [0], "coef": 1}]},
+            },
+            '"standards" or "kclass", not both',
+        ),
     ],
     ids=[
         "missing-coef",
@@ -205,6 +215,7 @@ def test_acycle_rejects_non_integer_fields(capsys, tmp_path, module):
         "kclass-not-object",
         "coeffs-not-list",
         "missing-weight",
+        "both-keys",
     ],
 )
 def test_acycle_malformed_module_names_its_field(capsys, tmp_path, module, field):
@@ -214,6 +225,17 @@ def test_acycle_malformed_module_names_its_field(capsys, tmp_path, module, field
     assert code == 2
     assert out == ""
     assert err.startswith("error: ") and field in err
+
+
+def test_module_file_classes_keep_the_kclass_invariant(a2):
+    # both shapes come back folded: sorted, dominant, each weight once, no zeros
+    raw = cli._parse_module_file(str(ROOT / "tests" / "modules" / "a2-raw-class.json"), a2)
+    mixed = cli._parse_module_file(str(ROOT / "tests" / "modules" / "a2-mixed.json"), a2)
+    for kc in (raw, mixed):
+        weights = [w for w, _ in kc.coeffs]
+        assert weights == sorted(set(weights))
+        assert all(min(w) >= 0 and c for w, c in kc.coeffs)
+    assert raw == KClass((((0, 0), 2), ((0, 3), 1), ((1, 1), -3), ((2, 2), -1), ((3, 0), 1)))
 
 
 def test_internal_fault_is_not_a_usage_error(capsys, monkeypatch):

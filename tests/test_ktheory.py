@@ -20,7 +20,6 @@ from kcone import (
     pushforward,
     pushforward_kernel,
     skyscraper_class,
-    std_to_class,
     weyl_dim,
 )
 from kcone import ktheory
@@ -48,12 +47,6 @@ def test_gamma_class_examples(a1, a2):
     assert gamma_class(a2, (-1, 2)).as_dict() == {(1, 1): 1}
     assert gamma_class(a2, (0, 0)).as_dict() == {(0, 0): 1}
     assert gamma_class(a1, (2,)).rank is None
-
-
-def test_std_to_class_examples(a1, a2):
-    assert std_to_class(a1, (1,), (1,)).as_dict() == {(2,): 1}
-    assert std_to_class(a1, (0,), (0,)).as_dict() == {(0,): 1}
-    assert std_to_class(a2, (1, 0), (-2, 2)).as_dict() == {(1, 1): 1}
 
 
 def test_pushforward_a1_regular(a1):

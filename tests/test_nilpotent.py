@@ -179,7 +179,7 @@ def test_product_orbits_and_poset():
     ]
     poset = closure_poset(rd, orbits)
     assert poset.covers == {0: (), 1: (0,), 2: (0,), 3: (1, 2)}
-    assert not poset.leq(1, 2) and not poset.leq(2, 1)
+    assert 1 not in poset.below[2] and 2 not in poset.below[1]
 
 
 def test_d4_very_even_pairs():
@@ -193,13 +193,18 @@ def test_d4_very_even_pairs():
         assert one.dynkin_marks[-2:] == two.dynkin_marks[-2:][::-1]
         assert one.dynkin_marks[-2] <= one.dynkin_marks[-1]
     poset = closure_poset(rd, orbits)
-    assert not poset.leq(by_label["[2,2,2,2]_I"].id, by_label["[2,2,2,2]_II"].id)
+    ids = {label: o.id for label, o in by_label.items()}
+
+    def below(a, b):
+        return ids[a] in poset.below[ids[b]]
+
+    assert not below("[2,2,2,2]_I", "[2,2,2,2]_II")
     # label-matching convention between distinct very even partitions
-    assert poset.leq(by_label["[2,2,2,2]_I"].id, by_label["[4,4]_I"].id)
-    assert not poset.leq(by_label["[2,2,2,2]_I"].id, by_label["[4,4]_II"].id)
+    assert below("[2,2,2,2]_I", "[4,4]_I")
+    assert not below("[2,2,2,2]_I", "[4,4]_II")
     # non-very-even neighbours relate to both members of a pair
-    assert poset.leq(by_label["[3,2,2,1]"].id, by_label["[4,4]_I"].id)
-    assert poset.leq(by_label["[3,2,2,1]"].id, by_label["[4,4]_II"].id)
+    assert below("[3,2,2,1]", "[4,4]_I")
+    assert below("[3,2,2,1]", "[4,4]_II")
 
 
 def maximal_reference(poset, ids):

@@ -140,7 +140,7 @@ NESTED_BOUNDS = [("A2", 18, 50), ("A2", 50, 200), ("B2", 16, 64), ("G2", 8, 32),
 
 def lead(rd, kc):
     """The support weight of kc that is largest in (norm^2, lex) order."""
-    return max(kc.support(), key=lambda w: (int_norm(rd, w), w))
+    return max((w for w, _ in kc.coeffs), key=lambda w: (int_norm(rd, w), w))
 
 
 def certified_leads(rd, basis):
@@ -210,7 +210,7 @@ def test_certified_supports_within_bound(basis_cache):
     for label, bound in [("A2", 18), ("B2", 16)]:
         rd = build_root_datum(label)
         for v in basis_cache(label, bound).certified_vectors():
-            assert max(norm_sq_fractions(rd, w) for w in v.kclass.support()) <= Fraction(bound)
+            assert max(norm_sq_fractions(rd, w) for w, _ in v.kclass.coeffs) <= Fraction(bound)
 
 
 def test_certified_vectors_independent(basis_cache):
