@@ -25,6 +25,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
+from operator import mul
 from typing import Iterable, Sequence
 
 from .rootdata import RootDatum, UnknownTypeError, Weight, _parse_label
@@ -224,7 +225,7 @@ class _Classification:
 
 def _grades(rd: RootDatum, marks: Sequence[int]) -> list[int]:
     """The grade sum c_i m_i of each positive root sum c_i alpha_i, in positive_roots order."""
-    return [sum(c * m for c, m in zip(coeffs, marks)) for coeffs in rd.positive_root_coeffs]
+    return [sum(map(mul, coeffs, marks)) for coeffs in rd.positive_root_coeffs]
 
 
 def _dimension_from_marks(rd: RootDatum, marks: Sequence[int]) -> int:
