@@ -41,9 +41,6 @@ def test_module_to_kclass_examples(a1, a2):
     assert module_to_kclass(a1, VirtualModule(terms=((1, (0,), (0,)),))).as_dict() == {(0,): 1}
     assert module_to_kclass(a1, trivial_module_a1()).as_dict() == {(0,): 1, (2,): -1}
     assert module_to_kclass(a2, VirtualModule(terms=((2, (1, 0), (0, 1)),))).as_dict() == {(1, 1): 2}
-    # a standard module's class depends only on the sum of its parameters
-    assert module_to_kclass(a1, VirtualModule(terms=((1, (1,), (1,)),))).as_dict() == {(2,): 1}
-    assert module_to_kclass(a2, VirtualModule(terms=((1, (1, 0), (-2, 2)),))).as_dict() == {(1, 1): 1}
 
 
 def test_mismatched_weight_lengths_are_rejected(a2):

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from kcone import (
     KClass,
     SubsetCapExceededError,
+    VirtualModule,
     build_root_datum,
     classify_orbits,
     dominant_conjugate,
@@ -17,6 +18,7 @@ from kcone import (
     kclass_add,
     kclass_from_terms,
     kclass_scale,
+    module_to_kclass,
     pushforward,
     pushforward_kernel,
     skyscraper_class,
@@ -47,6 +49,16 @@ def test_gamma_class_examples(a1, a2):
     assert gamma_class(a2, (-1, 2)).as_dict() == {(1, 1): 1}
     assert gamma_class(a2, (0, 0)).as_dict() == {(0, 0): 1}
     assert gamma_class(a1, (2,)).rank is None
+
+
+def test_std_to_class_examples(a1, a2):
+    # a standard module's class depends only on the sum of its parameters
+    def std(rd, lam_l, lam_r):
+        return module_to_kclass(rd, VirtualModule(terms=((1, lam_l, lam_r),))).as_dict()
+
+    assert std(a1, (1,), (1,)) == {(2,): 1}
+    assert std(a1, (0,), (0,)) == {(0,): 1}
+    assert std(a2, (1, 0), (-2, 2)) == {(1, 1): 1}
 
 
 def test_pushforward_a1_regular(a1):
