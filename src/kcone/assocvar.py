@@ -81,7 +81,8 @@ def express_in_geometric_basis(
     bound, span and integrality checks run on every call, in that order.
     A weight that some certified vector carries is within the bound, since
     certification tests every support weight against it, so only the other
-    weights pay int_norm.
+    weights pay int_norm.  A zero coefficient is no support: its weight
+    gets the weight checks but not the bound check, and solve skips it.
     """
     try:
         certified, factorization = basis.certified_factorization
@@ -91,10 +92,10 @@ def express_in_geometric_basis(
     if len(target) < len(kc.coeffs):  # dict kept only the last pair of a repeated weight
         raise ValueError("class support repeats a weight; fold the class with kclass_from_terms")
     bound = None
-    for w, _ in kc.coeffs:
+    for w, c in kc.coeffs:
         if len(w) != rd.rank or min(w) < 0:
             raise ValueError(f"class support {w} lies outside the dominant chamber")
-        if factorization is None or not factorization.carries(w):
+        if c and (factorization is None or not factorization.carries(w)):
             if bound is None:
                 bound = int_norm_bound(rd, basis.bound_sq)
             if int_norm(rd, w) > bound:
@@ -113,16 +114,14 @@ def express_in_geometric_basis(
             "the basis with a larger bound"
         )
     numerators, denominator = solved
-    if denominator == 1:
-        return {certified[j]: x for j, x in numerators.items()}
-    for j, x in numerators.items():  # nonzero, in certified order
-        if x % denominator:
-            v = certified[j]
-            raise InternalConsistencyError(
-                f"expansion coordinate {Fraction(x, denominator)} on orbit "
-                f"{v.orbit_id} vector {v.index} is not an integer"
-            )
-    return {certified[j]: x // denominator for j, x in numerators.items()}
+    if denominator != 1:  # in lowest terms, so some numerator is no multiple of it
+        j, x = next((j, x) for j, x in numerators.items() if x % denominator)
+        v = certified[j]
+        raise InternalConsistencyError(
+            f"expansion coordinate {Fraction(x, denominator)} on orbit "
+            f"{v.orbit_id} vector {v.index} is not an integer"
+        )
+    return {certified[j]: x for j, x in numerators.items()}
 
 
 def associated_cycle(

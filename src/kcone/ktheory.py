@@ -26,7 +26,7 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import mul, neg
+from operator import mul
 from typing import Iterable, Optional, Sequence
 
 from .linalg import combine
@@ -347,26 +347,32 @@ def skyscraper_class(rd: RootDatum, phi: Sequence[int]) -> KClass:
 
 
 class _TrackedRow:
-    """Sparse integer row, with the record of the unimodular steps that built it.
+    """Sparse integer row, with the integer combination of inputs it equals.
 
-    record is the input index t, ("-", record) after a negation, or
-    (record, q, pivot record) after subtracting q times a pivot row.
-    Records are immutable and only ever replaced, so a pivot's record,
-    once taken, is a snapshot that later steps on the pivot cannot change.
-    subtract updates vec in place: no other row holds it, because pivots
-    are only read and negate builds a new dict.
+    comb is the input index t, standing for {t: 1}, or ~t = -1 - t < 0,
+    standing for {t: -1}, until the row's first subtraction, and from then
+    on the row's own {input index: coefficient} dict.  No other row holds
+    vec or a comb dict, so each step, a negation or a subtraction, applies
+    the same integer operation to both in place.
     """
 
-    __slots__ = ("vec", "record", "order")
+    __slots__ = ("vec", "comb", "order")
 
     def __init__(self, vec: dict[int, int], order: int) -> None:
         self.vec = vec
-        self.record = order
+        self.comb = order
         self.order = order
 
     def negate(self) -> None:
-        self.vec = {w: -x for w, x in self.vec.items()}
-        self.record = ("-", self.record)
+        vec = self.vec
+        for k, x in vec.items():
+            vec[k] = -x
+        comb = self.comb
+        if type(comb) is int:
+            self.comb = ~comb
+        else:
+            for t, c in comb.items():
+                comb[t] = -c
 
     def subtract(self, q: int, other: "_TrackedRow") -> None:
         vec = self.vec
@@ -376,39 +382,20 @@ class _TrackedRow:
                 vec[k] = x
             else:
                 del vec[k]
-        self.record = (self.record, q, other.record)
-
-
-def _replay(record, memo: dict) -> dict[int, int]:
-    """The input combination a step record stands for, as {input index: coefficient}.
-
-    memo maps id(r) to (r, combination) for every record r replayed so far;
-    holding r keeps its id from being reused, and the combinations are
-    shared and never written.  Iterative, since records nest as deep as a
-    row's elimination history: a record waits on the stack until the
-    records it is built from are in memo.
-    """
-
-    def value(r) -> dict[int, int]:
-        return {r: 1} if type(r) is int else memo[id(r)][1]
-
-    stack = [record]
-    while stack:
-        r = stack[-1]
-        if type(r) is int or id(r) in memo:
-            stack.pop()
-            continue
-        parts = r[1:] if len(r) == 2 else r[::2]
-        todo = [p for p in parts if type(p) is tuple and id(p) not in memo]
-        if todo:
-            stack.extend(todo)
-            continue
-        stack.pop()
-        if len(r) == 2:
-            memo[id(r)] = (r, {t: -c for t, c in value(r[1]).items()})
+        comb = self.comb
+        if type(comb) is int:
+            comb = self.comb = {comb: 1} if comb >= 0 else {~comb: -1}
+        pivot = other.comb
+        if type(pivot) is int:
+            pairs = ((pivot, 1),) if pivot >= 0 else ((~pivot, -1),)
         else:
-            memo[id(r)] = (r, combine(1, value(r[0]), r[1], value(r[2])))
-    return value(record)
+            pairs = pivot.items()
+        for t, y in pairs:
+            x = comb.get(t, 0) - q * y
+            if x:
+                comb[t] = x
+            else:
+                del comb[t]
 
 
 class TrackedVector:
@@ -416,25 +403,22 @@ class TrackedVector:
 
     row maps each id of the index that the output carries to its nonzero
     coefficient.  combination is the sorted ((input index, coefficient),
-    ...) with sum_t c_t input_t = row.  It is replayed from the step
-    record when first read, through a memo shared by every output of the
-    split, and kept; an output whose combination is never read is never
-    replayed.
+    ...) with sum_t c_t input_t = row, read off the row's carried comb
+    (see _TrackedRow): ((t, +-1),) for a row that no subtraction touched.
     """
 
-    __slots__ = ("row", "_record", "_memo", "_combination")
+    __slots__ = ("row", "_comb")
 
-    def __init__(self, row: dict[int, int], record, memo: dict) -> None:
+    def __init__(self, row: dict[int, int], comb) -> None:
         self.row = row
-        self._record = record
-        self._memo = memo
-        self._combination = None
+        self._comb = comb
 
     @property
     def combination(self) -> tuple[tuple[int, int], ...]:
-        if self._combination is None:
-            self._combination = tuple(sorted(_replay(self._record, self._memo).items()))
-        return self._combination
+        comb = self._comb
+        if type(comb) is not int:
+            return tuple(sorted(comb.items()))
+        return ((comb, 1),) if comb >= 0 else ((~comb, -1),)
 
 
 @dataclass(frozen=True)
@@ -462,9 +446,10 @@ def hnf_certified_split(
     those rows are an integer basis of the sublattice of combinations
     supported entirely within it.  The remaining pivot rows complete a
     basis of the full lattice and are returned as provisional.  Each
-    output records the integer combination of input vectors that produced
-    it.  Only unimodular row operations are used, so tracked combinations
-    reproduce the rows exactly.  Norms are the ints index.norms[id] =
+    output carries the integer combination of input vectors that produced
+    it: every step applies the same integer operation to a row's vec and
+    to its combination, so the combination reproduces the row exactly.
+    Only unimodular row operations are used.  Norms are the ints index.norms[id] =
     int_norm(w), compared with int_norm_bound of each window: the same
     tests and the same column order as with Fraction norms.  Columns are
     sorted by (norms[id], weights[id]); the ids are labels and change no
@@ -480,24 +465,6 @@ def hnf_certified_split(
     pivot is the least row by (|entry|, input order), a total order, and
     every other row is reduced by the pivot alone, so bucket order cannot
     change the split.  build maps the positions back to the ids.
-
-    Combinations are replayed, not carried.  A row holds a step record
-    (see _TrackedRow) in place of its combination, and build records the
-    output's sign as ("-", record) instead of negating anything.  Proof
-    sketch that a replayed combination is the one carrying would give:
-    put comb(t) = {t: 1}, comb(("-", r)) = -comb(r) and comb((r, q, p)) =
-    comb(r) - q comb(p).  Carrying applies exactly these integer steps, in
-    this order, to what the row and the pivot held at each step.  A record
-    is never mutated and a row's record is replaced at every step, so p is
-    the pivot's record at the moment it was used, even when the pivot is
-    reduced in a later pass of its bucket, and by induction over the steps
-    comb(p) is the combination the pivot then held.  So _replay, which
-    evaluates comb, gives every combination entry for entry (zeros are
-    dropped in both).  The rows, the pivots and the outputs depend on vec
-    alone, which is updated as before, so the split is unchanged.  Most
-    subtractions fall on rows that end at zero, whose records are dropped
-    with them; an output whose combination is never read is never
-    replayed.
     """
     support_norm_sq = Fraction(support_norm_sq)
     support_bound = int_norm_bound(rd, support_norm_sq)
@@ -537,22 +504,16 @@ def hnf_certified_split(
                 elif r.vec:
                     bucket(max(r.vec), []).append(r)
             with_entry = survivors
-        p = with_entry[0]
-        if p.vec[col] < 0:
-            p.negate()
-        done[col] = p
+        done[col] = with_entry[0]  # build sets its sign
 
-    memo: dict = {}
     at = columns.__getitem__
 
     def build(col: int) -> TrackedVector:
         row = done[col]
         vec = row.vec
-        if vec[min(vec)] < 0:  # smallest-norm coefficient positive: record the sign
-            return TrackedVector(
-                dict(zip(map(at, vec), map(neg, vec.values()))), ("-", row.record), memo
-            )
-        return TrackedVector(dict(zip(map(at, vec), vec.values())), row.record, memo)
+        if vec[min(vec)] < 0:  # smallest-norm coefficient positive
+            row.negate()  # in place, so vec is negated too
+        return TrackedVector(dict(zip(map(at, vec), vec.values())), row.comb)
 
     pivots = sorted(done)
     return HnfSplit(

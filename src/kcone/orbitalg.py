@@ -265,8 +265,9 @@ def orbital_basis(
     ]:
         if not echelon.add(tracked.row):
             continue  # already in the span of earlier vectors
-        combination = tuple((candidates[t][0], n) for t, n in tracked.combination)
-        rank = sum(n * candidates[t][2] for t, n in tracked.combination)
+        comb = tracked.combination
+        combination = tuple((candidates[t][0], n) for t, n in comb)
+        rank = sum(n * candidates[t][2] for t, n in comb)
         if certified:
             assert all(norms[i] <= certify_bound for i in tracked.row)
         vectors.append(

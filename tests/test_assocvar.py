@@ -179,6 +179,19 @@ def test_support_just_outside_a_rational_bound_raises(basis_cache, a1):
         express_in_geometric_basis(a1, gamma_class(a1, (5,)), basis)
 
 
+def test_zero_entry_outside_the_bound_is_no_support(basis_cache, a1):
+    # [0] + 0[40] is the class [0], although (40,) has norm^2 800 > 16;
+    # the weight checks still read the zero entry
+    basis = basis_cache("A1", 16)
+    coords = express_in_geometric_basis(a1, KClass((((0,), 1),)), basis)
+    assert {(v.orbit_id, v.index): n for v, n in coords.items()} == {(1, 0): 1}
+    with_zero = KClass((((0,), 1), ((40,), 0)))
+    assert express_in_geometric_basis(a1, with_zero, basis) == coords
+    with pytest.raises(ValueError, match="dominant chamber") as info:
+        express_in_geometric_basis(a1, KClass((((0,), 1), ((40, 0), 0))), basis)
+    assert not isinstance(info.value, BoundTooSmallError)
+
+
 def crippled(basis):
     """The basis without its regular stratum: gamma classes leave the span."""
     return dataclasses.replace(basis, strata={0: basis.strata[0], 1: ()})

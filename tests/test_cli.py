@@ -143,6 +143,32 @@ def test_acycle_spherical_kclass(capsys, tmp_path):
     assert payload["cycle"][0]["multiplicity"] == 1
 
 
+def test_acycle_text(capsys, tmp_path):
+    mixed = str(ROOT / "tests" / "modules" / "a2-mixed.json")
+    code, out, _ = run_cli(
+        capsys, "acycle", "A2", "--bound-sq", "50", "--module", mixed, "--format", "text"
+    )
+    assert code == 0
+    assert out == "orbit 2 ([3]): multiplicity 3\n"
+    # [0] minus [0] is the zero class
+    zero = tmp_path / "zero.json"
+    zero.write_text(
+        json.dumps(
+            {
+                "standards": [
+                    {"coef": 1, "lambda_l": [0], "lambda_r": [0]},
+                    {"coef": -1, "lambda_l": [0], "lambda_r": [0]},
+                ]
+            }
+        )
+    )
+    code, out, _ = run_cli(
+        capsys, "acycle", "A1", "--bound-sq", "16", "--module", str(zero), "--format", "text"
+    )
+    assert code == 0
+    assert out == "zero class: empty associated variety\n"
+
+
 def test_acycle_malformed_file(capsys, tmp_path):
     module = tmp_path / "bad.json"
     module.write_text("{not json")
@@ -207,6 +233,7 @@ def test_acycle_rejects_non_integer_fields(capsys, tmp_path, module):
             },
             '"standards" or "kclass", not both',
         ),
+        ({"modules": []}, 'needs a "standards" or "kclass" key'),
     ],
     ids=[
         "missing-coef",
@@ -216,6 +243,7 @@ def test_acycle_rejects_non_integer_fields(capsys, tmp_path, module):
         "coeffs-not-list",
         "missing-weight",
         "both-keys",
+        "neither-key",
     ],
 )
 def test_acycle_malformed_module_names_its_field(capsys, tmp_path, module, field):
@@ -356,6 +384,13 @@ def test_pushforward_command(capsys):
     assert payload["kclass"]["rank"] == 1
 
 
+def test_pushforward_bad_orbit(capsys):
+    code, out, err = run_cli(capsys, "pushforward", "A2", "--orbit", "7", "--phi", "0,0")
+    assert code == 2
+    assert out == ""
+    assert err == "error: --orbit must name an orbit id of A2\n"
+
+
 def test_pushforward_nondominant_phi(capsys):
     code, _, err = run_cli(capsys, "pushforward", "A2", "--orbit", "0", "--phi=-1,0")
     assert code == 2
@@ -380,6 +415,16 @@ def test_selftest(capsys):
     code, out, _ = run_cli(capsys, "selftest")
     assert code == 0
     assert out.count("PASS") == 5 and "FAIL" not in out
+
+
+def test_selftest_reports_a_failing_check(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "restrict_gamma_class", lambda *args: {})
+    code, out, _ = run_cli(capsys, "selftest")
+    assert code == 1
+    assert out.count("PASS") == 4
+    assert [line for line in out.splitlines() if line.startswith("FAIL")] == [
+        "FAIL A1 restriction oracle: "
+    ]
 
 
 def test_bad_bound_arg_exits_2():

@@ -379,7 +379,7 @@ def small_entry_classes(draw):
     """A2 classes on the dominant weights of norm^2 <= 14, with entries in +-1, +-2, +-3.
 
     Entries 2 and 3 in one column leave a remainder, so buckets take
-    several passes and a pivot is reduced after other rows recorded it.
+    several passes and a pivot is reduced after other rows subtracted it.
     """
     rd = build_root_datum("A2")
     window = enumerate_dominant(rd, 14)
@@ -397,7 +397,7 @@ def small_entry_classes(draw):
 def test_a_recorded_pivot_is_reduced_in_a_later_pass(a1):
     # inputs r0 = [0] + 2[4] and r1 = [2] + 3[4].  Column (4,): the pivot r0
     # takes r1 to r1 - r0 = -[0] + [2] + [4]; in the second pass that row is
-    # the pivot, and takes r0, which it recorded, to 3 r0 - 2 r1 = 3[0] - 2[2]
+    # the pivot, and takes r0, which it was reduced by, to 3 r0 - 2 r1 = 3[0] - 2[2]
     vectors = [KClass((((0,), 1), ((4,), 2))), KClass((((2,), 1), ((4,), 3)))]
     certified, provisional = split_classes(a1, vectors, Fraction(8), Fraction(8))
     dense = dense_hnf_certified_split(a1, vectors, Fraction(8), Fraction(8))
@@ -444,21 +444,35 @@ def test_replay_reproduces_every_row_in_any_read_order(drawn, rng):
 
 
 def test_an_unread_combination_is_never_replayed(monkeypatch):
+    # combinations are carried, not replayed: a row that no subtraction
+    # touches keeps its input index t, or ~t once negated, and gets no
+    # dict, and its combination reads ((t, +-1),); a row a subtraction
+    # touches holds a dict no other row shares.  A2's subregular orbit
+    # gives untouched outputs of both signs and touched ones
     rd = build_root_datum("A2")
     win = _windows(rd, 50)
     orbit = classify_orbits(rd)[1]
     span = reference_spanning_set(rd, grading_data(rd, orbit), 50)
     vectors = list(dict.fromkeys(kc for _, kc in span))
-    replayed = []
-    real = ktheory._replay
+    touched = set()
+    real = ktheory._TrackedRow.subtract
 
-    def counting(record, memo):
-        replayed.append(record)
-        return real(record, memo)
+    def counting(row, q, other):
+        touched.add(row.order)
+        return real(row, q, other)
 
-    monkeypatch.setattr(ktheory, "_replay", counting)
-    split, _, _ = id_row_split(rd, vectors, win.support_sq, win.bound_sq)
-    assert len(split.certified) + len(split.provisional) > 2 and not replayed
-    tv = split.provisional[-1]
-    assert tv.combination == tv.combination  # the second read is kept, not replayed
-    assert len(replayed) == 1
+    monkeypatch.setattr(ktheory._TrackedRow, "subtract", counting)
+    split, rows, _ = id_row_split(rd, vectors, win.support_sq, win.bound_sq)
+    outputs = split.certified + split.provisional
+    untouched = [tv for tv in outputs if type(tv._comb) is int]
+    assert {tv.combination[0][0] for tv in untouched} == {
+        t for t, row in enumerate(rows) if row and t not in touched
+    }
+    for tv in untouched:
+        [(t, n)] = tv.combination
+        assert tv._comb == (t if n == 1 else ~t)
+        assert tv.row == {i: n * c for i, c in rows[t]}
+    assert {n for tv in untouched for _, n in tv.combination} == {1, -1}
+    dicts = [tv._comb for tv in outputs if type(tv._comb) is dict]
+    assert dicts and len(untouched) + len(dicts) == len(outputs)
+    assert len({id(d) for d in dicts}) == len(dicts)

@@ -4,9 +4,10 @@ perfbench/digests.json holds the sha256 of the stdout of each `kcone` call
 the benchmark makes, and of the basis its acycle-batch workload builds with
 full_basis; tests/cli_digests.json holds those of `kcone` calls the
 benchmark does not make: `basis` text output and --orbit, `orbits`,
-`pushforward`, and `acycle`s of a multi-term module and of a raw class,
-whose paths are relative to the repository root.  Any change to a stratum, to the JSON or to the text shows
-up here as a mismatch.
+`pushforward`, and `acycle`s of a multi-term module (JSON and text) and
+of a raw class, whose paths are relative to the repository root.  Any
+change to a stratum, to the JSON or to the text shows up here as a
+mismatch.
 """
 
 import contextlib
