@@ -276,7 +276,11 @@ def _parse_module_file(path: str, rd: RootDatum) -> KClass:
     ValueError naming its field.
     """
     with open(path, "r", encoding="utf-8") as fh:
-        data = _shaped(json.load(fh), dict, "a module file")
+        try:
+            raw = json.load(fh)
+        except RecursionError:
+            raise ValueError("a module file nests too deeply to read") from None
+    data = _shaped(raw, dict, "a module file")
     if "standards" in data and "kclass" in data:
         raise ValueError('a module file gives "standards" or "kclass", not both')
     if "standards" in data:

@@ -177,6 +177,21 @@ def test_acycle_malformed_file(capsys, tmp_path):
     assert err.startswith("error:")
 
 
+def test_acycle_deeply_nested_file_exits_2(tmp_path):
+    # the json decoder recurses once per bracket and overflows the stack
+    module = tmp_path / "deep.json"
+    module.write_text('{"standards": ' + "[" * 100_000 + "]" * 100_000 + "}")
+    proc = subprocess.run(
+        [sys.executable, "-m", "kcone.cli", "acycle", "A1", "--bound-sq", "16", "--module", str(module)],
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 2
+    assert proc.stderr.splitlines() == ["error: a module file nests too deeply to read"]
+    assert "Traceback" not in proc.stderr
+
+
 def test_acycle_wrong_rank_weight(capsys, tmp_path):
     module = tmp_path / "bad_rank.json"
     module.write_text(
