@@ -6,8 +6,6 @@ Each exported name is loaded from its home submodule on first use (PEP 562),
 so `import kcone` followed by root data and orbits loads only rootdata,
 linalg and nilpotent."""
 
-import importlib
-
 __version__ = "0.1.0"
 
 _EXPORTS = {
@@ -39,7 +37,8 @@ __all__ = sorted(_HOME)
 def __getattr__(name):
     if name not in _HOME:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    value = getattr(importlib.import_module(f".{_HOME[name]}", __name__), name)
+    # __import__ takes the interpreter's own import path, which -X importtime reports
+    value = getattr(__import__(f"{__name__}.{_HOME[name]}", fromlist=[name]), name)
     globals()[name] = value
     return value
 

@@ -23,10 +23,9 @@ distinct very even partitions is taken label-matching.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from operator import mul
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .rootdata import RootDatum, UnknownTypeError, Weight, _parse_label
 
@@ -35,16 +34,14 @@ class OrbitTableUnavailableError(ValueError):
     """Exceptional type whose built-in orbit table is not shipped."""
 
 
-@dataclass(frozen=True)
-class NilpotentOrbit:
+class NilpotentOrbit(NamedTuple):
     id: int
     label: str
     dynkin_marks: tuple[int, ...]
     dimension: int
 
 
-@dataclass(frozen=True)
-class GradingData:
+class GradingData(NamedTuple):
     """Root-space grading induced by the semisimple element of an sl2 triple."""
 
     orbit_id: int
@@ -53,24 +50,16 @@ class GradingData:
     levi_simple: tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class ClosurePoset:
-    """Closure order on orbit ids; covers is the Hasse diagram."""
+class ClosurePoset(NamedTuple):
+    """Closure order on orbit ids; covers is the Hasse diagram.
+
+    ``above_masks[i]`` is the bitmask (bit j for id j) of the orbits
+    strictly above orbit i.
+    """
 
     covers: dict[int, tuple[int, ...]]
     below: dict[int, frozenset[int]]
-
-    @cached_property
-    def above_masks(self) -> dict[int, int]:
-        """Per orbit id, the bitmask (bit j for id j) of the orbits strictly above it.
-
-        Built on the first read, so building the poset stays as cheap as before.
-        """
-        masks = dict.fromkeys(self.below, 0)
-        for j, lower in self.below.items():
-            for i in lower:
-                masks[i] |= 1 << j
-        return masks
+    above_masks: dict[int, int]
 
     def maximal(self, ids: Iterable[int]) -> list[int]:
         """The ids that no other given id lies above, sorted and without repeats."""
@@ -170,8 +159,7 @@ _G2_TABLE = [
 ]
 
 
-@dataclass(frozen=True)
-class _FactorOrbit:
+class _FactorOrbit(NamedTuple):
     label: str
     marks: tuple[int, ...]
     key: tuple  # ("p", partition, tag) for classical, ("g2", index) for G2
@@ -217,8 +205,7 @@ def _classify_factor(family: str, n: int) -> list[_FactorOrbit]:
     )
 
 
-@dataclass(frozen=True)
-class _Classification:
+class _Classification(NamedTuple):
     orbits: tuple[NilpotentOrbit, ...]
     factor_data: tuple[tuple[_FactorOrbit, ...], ...]  # per orbit, per factor
 
@@ -302,7 +289,9 @@ def closure_poset(rd: RootDatum, orbits: Sequence[NilpotentOrbit]) -> ClosurePos
         b: frozenset(a for a in range(n) if a != b and leq(a, b)) for b in range(n)
     }
     covers = {}
-    for b in range(n):
-        lower = below[b]
+    above_masks = dict.fromkeys(below, 0)
+    for b, lower in below.items():
         covers[b] = tuple(sorted(a for a in lower if not any(a in below[c] for c in lower)))
-    return ClosurePoset(covers=covers, below=below)
+        for a in lower:
+            above_masks[a] |= 1 << b
+    return ClosurePoset(covers=covers, below=below, above_masks=above_masks)

@@ -26,11 +26,10 @@ from __future__ import annotations
 import itertools
 import math
 import re
-from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from operator import add
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .linalg import Factorization
 
@@ -71,8 +70,7 @@ def is_dominant(w: Sequence[int]) -> bool:
 # root datum
 
 
-@dataclass(frozen=True)
-class RootDatum:
+class RootDatum(NamedTuple):
     """Cartan type data with positive roots in fundamental coordinates.
 
     ``cartan[i][j]`` is the pairing of the j-th simple root with the i-th
@@ -83,7 +81,8 @@ class RootDatum:
     ``norm_scale`` times the matrix of the invariant form on the weight
     lattice, normalized so short roots have squared length 2, and
     ``norm_scale`` is the least positive integer that makes every entry
-    an int (see the module docstring).
+    an int (see the module docstring).  ``cartan_columns[i]`` lists the
+    nonzero entries ``(k, cartan[k][i])`` of column i.
     """
 
     type_label: str
@@ -94,6 +93,7 @@ class RootDatum:
     positive_root_coeffs: tuple[tuple[int, ...], ...]
     norm_scale: int
     int_gram: tuple[tuple[int, ...], ...]
+    cartan_columns: tuple[tuple[tuple[int, int], ...], ...]
 
     @property
     def dim_g(self) -> int:
@@ -102,14 +102,6 @@ class RootDatum:
     def rho(self) -> Weight:
         """Half the sum of positive roots: (1, ..., 1)."""
         return (1,) * self.rank
-
-    @cached_property
-    def cartan_columns(self) -> tuple[tuple[tuple[int, int], ...], ...]:
-        """The nonzero entries (k, cartan[k][i]) of each column i, built on the first read."""
-        return tuple(
-            tuple((k, row[i]) for k, row in enumerate(self.cartan) if row[i])
-            for i in range(self.rank)
-        )
 
 
 def _simple_cartan(family: str, n: int) -> tuple[list[list[int]], list[int]]:
@@ -302,6 +294,9 @@ def build_root_datum(type_label: str) -> RootDatum:
         positive_root_coeffs=coeffs,
         norm_scale=scale,
         int_gram=tuple(tuple(int(x * scale) for x in row) for row in form),
+        cartan_columns=tuple(
+            tuple((k, row[i]) for k, row in enumerate(cartan) if row[i]) for i in range(rank)
+        ),
     )
 
 

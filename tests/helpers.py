@@ -425,6 +425,44 @@ def dual_partition(part) -> tuple[int, ...]:
     return tuple(sum(1 for p in part if p > k) for k in range(part[0]))
 
 
+def richardson_partition_a(n: int, levi) -> tuple[int, ...]:
+    """Partition of the orbit induced from the zero orbit of a Levi of A_n.
+
+    The Levi on the nodes levi has one block per maximal run of k
+    consecutive nodes (size k + 1) and a block of size 1 per other vertex;
+    the Richardson orbit's partition is the transpose of the block sizes.
+    """
+    blocks, size = [], 1
+    for i in range(n):
+        if i in levi:
+            size += 1
+        else:
+            blocks.append(size)
+            size = 1
+    blocks.append(size)
+    return dual_partition(tuple(sorted(blocks, reverse=True)))
+
+
+def induced_class(rd, levi, phi):
+    """Class of V(phi) of the Levi on the nodes levi, pushed along T*(G/P).
+
+    The parabolic P has Levi roots those supported on levi and no degree-1
+    part, so this is the kernel with Delta+(l) added and nothing subtracted,
+    evaluated at phi by pushforward.  Its support closure is the orbit
+    induced from the Levi's zero orbit.
+    """
+    from kcone import ktheory
+
+    levi = tuple(levi)
+    levi_roots = tuple(
+        root
+        for root, coeffs in zip(rd.positive_roots, rd.positive_root_coeffs)
+        if all(i in levi for i, c in enumerate(coeffs) if c)
+    )
+    kernel = ktheory._kernel(rd, f"the Levi {list(levi)} of {rd.type_label}", levi, (), levi_roots)
+    return ktheory.pushforward(rd, kernel, phi)
+
+
 def partition_orbit_dimension(family: str, n: int, part) -> int:
     """Orbit dimension from the classical centralizer dimension formulas."""
     dual = dual_partition(part)

@@ -16,6 +16,7 @@ from kcone import (
     associated_cycle,
     build_root_datum,
     enumerate_dominant,
+    enumerate_levi_dominant,
     express_in_geometric_basis,
     full_basis,
     gamma_class,
@@ -30,7 +31,14 @@ from kcone import (
 from kcone import assocvar
 from kcone.linalg import IntEchelon
 
-from helpers import as_row, fresh_solve, solve_fractions, weyl_orbit
+from helpers import (
+    as_row,
+    fresh_solve,
+    induced_class,
+    richardson_partition_a,
+    solve_fractions,
+    weyl_orbit,
+)
 
 
 def trivial_module_a1():
@@ -151,6 +159,34 @@ def test_skyscrapers_have_dimension_multiplicity(basis_cache, label, bound):
             basis.poset,
         )
         assert cyc.components == ((0, weyl_dim(rd, None, phi)),), phi
+
+
+@pytest.mark.parametrize(
+    "label,bound,phi_sq,exact,refused",
+    [("A1", 16, 6, 11, 0), ("A2", 50, 6, 91, 0), ("A3", 8, 3, 164, 82)],
+)
+def test_induced_classes_have_richardson_cycles(basis_cache, label, bound, phi_sq, exact, refused):
+    # parabolic induction: V(phi) of the Levi on J pushed along T*(G/P_J) has
+    # the Richardson orbit O_J, with multiplicity dim V(phi), as its cycle
+    rd = build_root_datum(label)
+    basis = basis_cache(label, bound)
+    ids = {o.label: o.id for o in basis.orbits}
+    counts = [0, 0]
+    for mask in range(1 << rd.rank):
+        levi = tuple(i for i in range(rd.rank) if mask >> i & 1)
+        part = richardson_partition_a(rd.rank, levi)
+        orbit = ids["[" + ",".join(map(str, part)) + "]"]
+        for phi in enumerate_levi_dominant(rd, levi, phi_sq):
+            kc = induced_class(rd, levi, phi)
+            try:
+                coords = express_in_geometric_basis(rd, kc, basis)
+            except BoundTooSmallError:
+                counts[1] += 1
+                continue
+            cycle = associated_cycle(coords, basis.poset)
+            assert cycle.components == ((orbit, weyl_dim(rd, levi, phi)),), (levi, phi)
+            counts[0] += 1
+    assert counts == [exact, refused]
 
 
 def test_additivity_of_multiplicities(basis_cache, a1):

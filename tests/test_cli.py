@@ -110,6 +110,17 @@ def test_basis_resource_cap(capsys, monkeypatch):
     assert "cap" in err
 
 
+def test_basis_default_subset_cap_exits_3(capsys, monkeypatch):
+    # the zero orbit of A8 has 36 positive roots: its kernel is refused
+    # against the default 2^22 cap before the ball is built
+    monkeypatch.delenv("KCONE_MAX_SUBSET_BITS", raising=False)
+    code, out, err = run_cli(capsys, "basis", "A8", "--bound-sq", "0")
+    assert code == 3
+    assert out == ""
+    [line] = err.splitlines()
+    assert line.startswith("error: ") and "2^36" in line and "2^22" in line
+
+
 def test_acycle_trivial_module(capsys, tmp_path):
     module = tmp_path / "trivial.json"
     module.write_text(

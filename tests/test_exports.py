@@ -104,3 +104,41 @@ def test_cold_setup_loads_only_the_setup_modules():
     loaded = proc.stdout.split()
     assert "kcone.nilpotent" in loaded
     assert not set(NOT_AT_SETUP) & set(loaded)
+
+
+def test_importtime_reports_the_lazily_loaded_modules():
+    # the package's __getattr__ loads through __import__, whose imports
+    # -X importtime times; importlib.import_module's would not be listed
+    proc = subprocess.run(
+        [sys.executable, "-X", "importtime", "-c", COLD_SETUP],
+        capture_output=True,
+        text=True,
+        timeout=120,
+        check=True,
+    )
+    reported = {line.rsplit("|", 1)[-1].strip() for line in proc.stderr.splitlines()}
+    assert {"kcone.rootdata", "kcone.nilpotent"} <= reported
+
+
+COLD_PATH = (
+    "import sys\n"
+    "before = {m for m in ('dataclasses', 'inspect') if m in sys.modules}\n"
+    "import kcone\n"
+    "for label in ('A2', 'B2', 'G2', 'A1xA1xA1'):\n"
+    "    rd = kcone.build_root_datum(label)\n"
+    "    kcone.closure_poset(rd, kcone.classify_orbits(rd))\n"
+    "print(' '.join(sorted(m for m in ('dataclasses', 'inspect') if m in sys.modules and m not in before)))\n"
+)
+
+
+def test_cold_setup_loads_no_dataclass_machinery():
+    # the root-data and orbit records are NamedTuples, so the setup calls
+    # never import dataclasses, nor the inspect module it pulls in
+    proc = subprocess.run(
+        [sys.executable, "-c", COLD_PATH],
+        capture_output=True,
+        text=True,
+        timeout=120,
+        check=True,
+    )
+    assert proc.stdout.split() == []

@@ -1,3 +1,5 @@
+import pickle
+
 import pytest
 
 from kcone import (
@@ -227,8 +229,26 @@ def test_maximal_matches_reference_on_every_subset(label):
     assert poset.maximal([]) == [] and poset.maximal(iter(())) == []
 
 
-def test_above_masks_are_lazy(a2):
-    poset = closure_poset(a2, classify_orbits(a2))
-    assert "above_masks" not in vars(poset)
-    assert poset.maximal({2: 1, 0: 3}) == [2]
-    assert poset.above_masks == {0: 0b110, 1: 0b100, 2: 0}
+def test_above_masks_are_rebuilt_from_below():
+    for label in ["A2", "B2", "G2", "A3", "B3", "C3", "D4", "A1xA1xA1"]:
+        rd = build_root_datum(label)
+        poset = closure_poset(rd, classify_orbits(rd))
+        masks = {
+            i: sum(1 << j for j, lower in poset.below.items() if i in lower) for i in poset.below
+        }
+        assert poset.above_masks == masks, label
+    a2 = build_root_datum("A2")
+    assert closure_poset(a2, classify_orbits(a2)).above_masks == {0: 0b110, 1: 0b100, 2: 0}
+
+
+def test_orbit_records_are_immutable_picklable_tuples(a2):
+    orbits = classify_orbits(a2)
+    poset = closure_poset(a2, orbits)
+    gd = grading_data(a2, orbits[1])
+    for record, field in [(orbits[1], "label"), (gd, "levi_simple"), (poset, "above_masks")]:
+        with pytest.raises(AttributeError):
+            setattr(record, field, None)
+        assert pickle.loads(pickle.dumps(record)) == record
+        assert record == tuple(record)  # a NamedTuple equals the plain tuple of its fields
+    assert hash(pickle.loads(pickle.dumps(orbits[1]))) == hash(orbits[1])
+    assert hash(pickle.loads(pickle.dumps(gd))) == hash(gd)

@@ -1,4 +1,5 @@
 import itertools
+import pickle
 from fractions import Fraction
 
 import pytest
@@ -96,6 +97,28 @@ def test_simple_roots_are_cartan_columns():
     rd = build_root_datum("B2")
     for j in range(rd.rank):
         assert rd.positive_roots[j] == tuple(rd.cartan[i][j] for i in range(rd.rank))
+
+
+@pytest.mark.parametrize("label", ["G2", "B2", "D4"])
+def test_cartan_columns_are_the_nonzero_column_entries(label):
+    rd = build_root_datum(label)
+    assert rd.cartan_columns == tuple(
+        tuple((k, rd.cartan[k][i]) for k in range(rd.rank) if rd.cartan[k][i])
+        for i in range(rd.rank)
+    )
+    if label == "G2":
+        assert rd.cartan_columns == (((0, 2), (1, -3)), ((0, -1), (1, 2)))
+
+
+def test_root_datum_is_an_immutable_picklable_tuple():
+    rd = build_root_datum("B2")
+    with pytest.raises(AttributeError):
+        rd.rank = 3
+    with pytest.raises(AttributeError):
+        rd.cartan_columns = ()
+    copy = pickle.loads(pickle.dumps(rd))
+    assert copy == rd and hash(copy) == hash(rd)
+    assert rd == tuple(rd)  # a NamedTuple equals the plain tuple of its fields
 
 
 @pytest.mark.parametrize(
